@@ -6,6 +6,8 @@
  * sizes and trace lengths.
  */
 
+#include <random>
+
 #include <benchmark/benchmark.h>
 
 #include "baseline/oblivious.h"

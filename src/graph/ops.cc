@@ -422,7 +422,7 @@ buildPipeline(const PipelineSpec &spec)
     Pipeline p;
     p.spec = spec;
 
-    const auto dc = workload::generate(spec.dc);
+    auto dc = workload::generate(spec.dc);
     p.instanceCount = dc.instanceCount();
     auto training = dc.trainingTraces();
     auto test = dc.testTraces();
@@ -484,11 +484,13 @@ buildPipeline(const PipelineSpec &spec)
         graph::Value::of(
             spec.monitor,
             core::fingerprintMonitorMeasureConfig(spec.monitor)));
+    // The week populations take the generated traces over: dc is not
+    // read again, so each trace moves instead of being copied.
     for (int w = 0; w < spec.dc.weeks; ++w) {
         std::vector<trace::TimeSeries> week;
-        week.reserve(dc.instanceCount());
-        for (std::size_t i = 0; i < dc.instanceCount(); ++i)
-            week.push_back(dc.weekTrace(i, w));
+        week.reserve(p.instanceCount);
+        for (std::size_t i = 0; i < p.instanceCount; ++i)
+            week.push_back(std::move(dc).weekTrace(i, w));
         const auto week_fp = core::fingerprintTraces(week);
         p.weekIns.push_back(
             g.input("week." + std::to_string(w),

@@ -7,15 +7,74 @@
  *
  * Every stochastic component in the simulator draws from an Rng instance
  * that is explicitly seeded, so a whole experiment is a pure function of
- * its seed.  The class wraps std::mt19937_64 and adds the distributions
- * the workload generator needs (Zipf popularity skew in particular).
+ * its seed.  The engine is an in-tree MT19937-64 (Mt64), word-identical
+ * to std::mt19937_64, and the normal deviate is an in-tree polar method
+ * with libstdc++'s arithmetic, so streams do not depend on the standard
+ * library's distribution code (uniformInt still uses
+ * std::uniform_int_distribution).  On top sit the distributions the
+ * workload generator needs (Zipf popularity skew in particular).
  */
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 namespace sosim::util {
+
+/**
+ * MT19937-64 (Matsumoto & Nishimura), producing the same words as
+ * std::mt19937_64 for every seed.  The twist selects the matrix term
+ * with a mask instead of libstdc++'s data-dependent branch on the low
+ * bit, which mispredicts half the time.
+ */
+class Mt64
+{
+  public:
+    using result_type = std::uint64_t;
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    explicit Mt64(result_type seed);
+
+    /** Next tempered word. */
+    result_type
+    operator()()
+    {
+        if (index_ == kN)
+            twist();
+        return temper(state_[index_++]);
+    }
+
+    /** The next n words into out; equal to n calls of operator(). */
+    void fill(result_type *out, std::size_t n);
+
+  private:
+    static constexpr std::size_t kN = 312;
+
+    static result_type
+    temper(result_type z)
+    {
+        z ^= (z >> 29) & 0x5555'5555'5555'5555ULL;
+        z ^= (z << 17) & 0x71d6'7fff'eda6'0000ULL;
+        z ^= (z << 37) & 0xfff7'eee0'0000'0000ULL;
+        return z ^ (z >> 43);
+    }
+
+    void twist();
+
+    std::array<result_type, kN> state_{};
+    std::size_t index_ = kN;
+};
+
+/**
+ * std::generate_canonical<double, 53> over one 64-bit word, bit for
+ * bit: double(word) / 2^64 with round-to-nearest, and 1.0 clamped to the
+ * largest double below it.  Branch-free, unlike the compiler's unsigned
+ * conversion.
+ */
+double unitDouble(std::uint64_t word);
 
 /** Deterministic, explicitly-seeded random source. */
 class Rng
@@ -32,6 +91,19 @@ class Rng
 
     /** Normal deviate with the given mean and standard deviation. */
     double normal(double mean = 0.0, double stddev = 1.0);
+
+    /**
+     * n normal deviates into out; equal, value for value and in the
+     * engine state it leaves, to n calls of normal(mean, stddev).
+     *
+     * Each deviate is one accepted attempt of the Marsaglia polar
+     * method, and each attempt draws exactly two words, so the block
+     * draws the still-missing count of attempts at a time (never more
+     * than the sequential calls would) and evaluates them without a
+     * branch per draw.
+     */
+    void fillNormal(double *out, std::size_t n, double stddev,
+                    double mean = 0.0);
 
     /** Bernoulli trial with probability p of returning true. */
     bool chance(double p);
@@ -65,10 +137,10 @@ class Rng
     Rng fork();
 
     /** Access the underlying engine (for std distributions). */
-    std::mt19937_64 &engine() { return engine_; }
+    Mt64 &engine() { return engine_; }
 
   private:
-    std::mt19937_64 engine_;
+    Mt64 engine_;
 };
 
 /**

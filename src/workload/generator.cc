@@ -1,7 +1,9 @@
 #include "generator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 
 #include "obs/obs.h"
 #include "util/error.h"
@@ -158,13 +160,20 @@ GeneratedDatacenter::testTraces() const
 }
 
 const trace::TimeSeries &
-GeneratedDatacenter::weekTrace(std::size_t i, int week) const
+GeneratedDatacenter::weekTrace(std::size_t i, int week) const &
 {
     const auto &inst = instance(i);
     SOSIM_REQUIRE(week >= 0 &&
                       week < static_cast<int>(inst.weeklyPower.size()),
                   "GeneratedDatacenter::weekTrace: week out of range");
     return inst.weeklyPower[week];
+}
+
+trace::TimeSeries
+GeneratedDatacenter::weekTrace(std::size_t i, int week) &&
+{
+    (void)std::as_const(*this).weekTrace(i, week); // Range checks.
+    return std::move(instances_[i].weeklyPower[week]);
 }
 
 const trace::TimeSeries &
@@ -244,6 +253,10 @@ generate(const DatacenterSpec &spec)
             continue;
         const auto &profile = dep.profile;
         util::Rng service_rng = master.fork();
+        std::array<double, 7> day_factor{};
+        for (int day = 0; day < 7; ++day)
+            day_factor[day] = dayOfWeekFactor(profile, day);
+        std::vector<double> noise(samples_per_week);
 
         // Popularity weights: Zipf over a shuffled rank order, normalized
         // to mean 1 so the service's aggregate power is rank-independent.
@@ -311,22 +324,26 @@ generate(const DatacenterSpec &spec)
                     }
                 }
 
+                // The sample loop draws nothing else, so the week's
+                // noise is one block in the same draw order.
+                rng.fillNormal(noise.data(), samples_per_week,
+                               profile.noiseStd);
                 std::vector<double> samples(samples_per_week);
                 const double gain =
                     info.popularity * info.amplitude * week_scale[s][w];
                 for (std::size_t t = 0; t < samples_per_week; ++t) {
-                    const int day = static_cast<int>(t / samples_per_day);
+                    const std::size_t day = t / samples_per_day;
                     const double activity = std::clamp(
                         (profile.baseActivity +
                          (1.0 - profile.baseActivity) *
                              bump_table[t % samples_per_day] *
-                             dayOfWeekFactor(profile, day)) *
+                             day_factor[day]) *
                             burst[t] * gain,
                         0.0, 1.2);
                     double p = profile.maxPowerWatts *
                                (profile.idleFraction +
                                 (1.0 - profile.idleFraction) * activity);
-                    p += rng.normal(0.0, profile.noiseStd);
+                    p += noise[t];
                     samples[t] = std::clamp(p, 0.0,
                                             profile.maxPowerWatts * 1.1);
                 }

@@ -109,7 +109,14 @@ class GeneratedDatacenter
     std::vector<trace::TimeSeries> testTraces() const;
 
     /** Power trace of one instance for one week. */
-    const trace::TimeSeries &weekTrace(std::size_t i, int week) const;
+    const trace::TimeSeries &weekTrace(std::size_t i, int week) const &;
+
+    /**
+     * Move one instance-week trace out of an expiring datacenter
+     * (`std::move(dc).weekTrace(i, w)`), leaving that slot empty; for
+     * callers that hand every trace on and drop the rest.
+     */
+    trace::TimeSeries weekTrace(std::size_t i, int week) &&;
 
     /**
      * Nominal (jitter-free, popularity-1) activity curve of service s in

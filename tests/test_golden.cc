@@ -27,6 +27,7 @@
  * constant; find the nondeterminism or the unintended change instead.
  */
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -57,6 +58,12 @@ constexpr std::uint64_t kGoldenFaultFingerprint = 0xb2672a1be3790ec1;
 // Fleet-scale remap digest (population 4096, sharded + cluster-pruned
 // swap scan; see fleetDigest below).  Same update procedure as above.
 constexpr std::uint64_t kGoldenFleetDigest = 0x98e83503b0275f74;
+// Raw generator output, bit for bit (see generatorDigest below): DC1
+// and DC3 at scale 1 and 5-minute samples, and buildFleetSpec(10240)
+// at 30-minute samples, all at the preset seed.
+constexpr std::uint64_t kGoldenGeneratorDc1Digest = 0x8e8d5a621cc1778d;
+constexpr std::uint64_t kGoldenGeneratorDc3Digest = 0xe500d94d443f4ddc;
+constexpr std::uint64_t kGoldenGeneratorFleetDigest = 0x4af37efbf7cb30ea;
 
 // ---------------------------------------------------------------------
 // FNV-1a, the same construction FaultPlan::fingerprint uses.
@@ -217,6 +224,58 @@ TEST(Golden, FleetDigestMatchesCommittedValueAtAnyThreadCount)
            "kGoldenFleetDigest in tests/test_golden.cc to 0x"
         << std::hex << serial
         << " and explain the behavioral change in the commit message.";
+}
+
+/**
+ * Raw generator fingerprint: every bit of every weekly instance trace
+ * and every service-activity curve, in generation order.  The pipeline
+ * digests round to 6 decimals and sit behind placement; this one moves
+ * when any single generated sample moves, and names the generator as
+ * the layer that changed.
+ */
+std::uint64_t
+generatorDigest(const workload::DatacenterSpec &spec)
+{
+    const auto dc = workload::generate(spec);
+    Digest d;
+    const auto mixTrace = [&](const trace::TimeSeries &t) {
+        d.mix(static_cast<std::uint64_t>(t.size()));
+        for (std::size_t k = 0; k < t.size(); ++k)
+            d.mix(std::bit_cast<std::uint64_t>(t[k]));
+    };
+    for (std::size_t i = 0; i < dc.instanceCount(); ++i)
+        for (int w = 0; w < spec.weeks; ++w)
+            mixTrace(dc.weekTrace(i, w));
+    for (std::size_t s = 0; s < dc.serviceCount(); ++s)
+        for (int w = 0; w < spec.weeks; ++w)
+            mixTrace(dc.serviceActivity(s, w));
+    return d.h;
+}
+
+TEST(Golden, GeneratorDigestMatchesCommittedValue)
+{
+    workload::PresetOptions fleet_options;
+    fleet_options.intervalMinutes = 30;
+    const struct {
+        const char *name;
+        workload::DatacenterSpec spec;
+        std::uint64_t pinned;
+    } cases[] = {
+        {"DC1", workload::buildDc1Spec(), kGoldenGeneratorDc1Digest},
+        {"DC3", workload::buildDc3Spec(), kGoldenGeneratorDc3Digest},
+        {"fleet-10240",
+         workload::buildFleetSpec(10240, fleet_options),
+         kGoldenGeneratorFleetDigest},
+    };
+    for (const auto &c : cases) {
+        const auto digest = generatorDigest(c.spec);
+        EXPECT_EQ(digest, c.pinned)
+            << c.name << " generator digest changed: some generated "
+            << "sample moved.  If intentional, update the matching "
+               "kGoldenGenerator*Digest in tests/test_golden.cc to 0x"
+            << std::hex << digest
+            << " and explain the behavioral change in the commit message.";
+    }
 }
 
 TEST(Golden, FaultPlanFingerprintMatchesCommittedValue)

@@ -5,6 +5,10 @@
  */
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +23,7 @@ namespace {
 
 using sosim::util::FatalError;
 using sosim::util::LogicError;
+using sosim::util::Mt64;
 using sosim::util::Rng;
 using sosim::util::Table;
 using sosim::util::ZipfSampler;
@@ -140,6 +145,219 @@ TEST(Rng, ForkProducesIndependentStreams)
     Rng reference = Rng(42).fork();
     for (int i = 0; i < 20; ++i)
         EXPECT_DOUBLE_EQ(child1b.uniform(), reference.uniform());
+}
+
+// ---------------------------------------------------------------------
+// Bit identity with the standard library.  Rng's engine and its normal
+// deviate are in-tree; these pin them to std::mt19937_64 and to
+// libstdc++'s distributions, so every generated trace stays the same.
+
+const std::uint64_t kOracleSeeds[] = {
+    0, 1, 2018, std::numeric_limits<std::uint64_t>::max()};
+
+/** Bitwise double equality (tells -0.0 from +0.0). */
+::testing::AssertionResult
+sameBits(double got, double want)
+{
+    if (std::bit_cast<std::uint64_t>(got) ==
+        std::bit_cast<std::uint64_t>(want))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << std::hexfloat << got << " != " << want;
+}
+
+/** The deviate Rng::normal produced when it wrapped the std types. */
+double
+oracleNormal(std::mt19937_64 &engine, double mean, double stddev)
+{
+    std::normal_distribution<double> dist(mean, stddev);
+    return dist(engine);
+}
+
+double
+oracleUniform(std::mt19937_64 &engine, double lo = 0.0, double hi = 1.0)
+{
+    std::uniform_real_distribution<double> dist(lo, hi);
+    return dist(engine);
+}
+
+std::int64_t
+oracleUniformInt(std::mt19937_64 &engine, std::int64_t lo, std::int64_t hi)
+{
+    std::uniform_int_distribution<std::int64_t> dist(lo, hi);
+    return dist(engine);
+}
+
+TEST(Rng, Mt64MatchesStdEngineForEverySeed)
+{
+    for (const auto seed : kOracleSeeds) {
+        SCOPED_TRACE(seed);
+        Mt64 ours(seed);
+        std::mt19937_64 oracle(seed);
+        // More than three twists of the 312-word state.
+        for (int i = 0; i < 4 * 312 + 7; ++i)
+            ASSERT_EQ(ours(), oracle()) << "word " << i;
+    }
+    static_assert(Mt64::min() == std::mt19937_64::min());
+    static_assert(Mt64::max() == std::mt19937_64::max());
+}
+
+TEST(Rng, Mt64FillEqualsSequentialWords)
+{
+    Mt64 ours(2018);
+    std::mt19937_64 oracle(2018);
+    std::vector<std::uint64_t> block;
+    // Runs that start, end and straddle twist boundaries.
+    for (const std::size_t n : {0, 1, 311, 312, 313, 1000, 5}) {
+        block.assign(n, 0);
+        ours.fill(block.data(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(block[i], oracle()) << "n=" << n << " i=" << i;
+        ASSERT_EQ(ours(), oracle()) << "after n=" << n;
+    }
+}
+
+TEST(Rng, ForkMatchesStdEngineDerivation)
+{
+    for (const auto seed : kOracleSeeds) {
+        SCOPED_TRACE(seed);
+        Rng parent(seed);
+        std::mt19937_64 oracle(seed);
+        for (int generation = 0; generation < 3; ++generation) {
+            Rng child = parent.fork();
+            const std::uint64_t a = oracle();
+            const std::uint64_t b = oracle();
+            std::mt19937_64 child_oracle(a ^ (b << 1) ^
+                                         0x9e37'79b9'7f4a'7c15ULL);
+            for (int i = 0; i < 3 * 312 + 1; ++i)
+                ASSERT_EQ(child.engine()(), child_oracle());
+        }
+        // The parent continues exactly where the oracle does.
+        for (int i = 0; i < 10; ++i)
+            ASSERT_EQ(parent.engine()(), oracle());
+    }
+}
+
+TEST(Rng, UnitDoubleMatchesGenerateCanonical)
+{
+    // A one-word engine, so generate_canonical converts exactly `word`.
+    struct OneWord {
+        using result_type = std::uint64_t;
+        static constexpr result_type min() { return 0; }
+        static constexpr result_type max() { return ~result_type{0}; }
+        result_type word;
+        result_type operator()() { return word; }
+    };
+    constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+    std::vector<std::uint64_t> words = {
+        0,
+        1,
+        (std::uint64_t{1} << 53) - 1,
+        (std::uint64_t{1} << 53) + 1,
+        (std::uint64_t{1} << 54) + 1,
+        (std::uint64_t{1} << 54) + 3,
+        (std::uint64_t{1} << 55) + 0x4,
+        (std::uint64_t{1} << 55) + 0x5,
+        kTop - 1,
+        kTop,
+        kTop + 1,
+        kTop + 0x400,  // exactly half an ulp above 2^63: ties to even
+        kTop + 0x401,  // just above the tie
+        kTop + 0xc00,  // tie, rounds up to even
+        ~std::uint64_t{0} - 0x400,  // just below the tie: rounds down
+        ~std::uint64_t{0} - 0x3ff,  // tie, rounds to 2^64: clamped
+        ~std::uint64_t{0},          // rounds to 2^64: clamped
+    };
+    std::mt19937_64 fill(7);
+    for (int i = 0; i < 100000; ++i)
+        words.push_back(fill());
+    for (const auto word : words) {
+        OneWord engine{word};
+        const double want =
+            std::generate_canonical<double, 53>(engine);
+        ASSERT_TRUE(sameBits(sosim::util::unitDouble(word), want))
+            << "word 0x" << std::hex << word;
+        ASSERT_LT(sosim::util::unitDouble(word), 1.0);
+    }
+}
+
+TEST(Rng, FillNormalEqualsSequentialStdNormals)
+{
+    for (const auto seed : kOracleSeeds) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        std::mt19937_64 oracle(seed);
+        std::vector<double> block;
+        for (const std::size_t n : {0, 1, 2, 2016, 5000, 1, 0, 2016}) {
+            block.assign(n, 0.0);
+            rng.fillNormal(block.data(), n, 3.5);
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_TRUE(
+                    sameBits(block[i], oracleNormal(oracle, 0.0, 3.5)))
+                    << "n=" << n << " i=" << i;
+            // Other draws between blocks: the engine must be exactly
+            // where the sequential calls would have left it.
+            ASSERT_EQ(rng.chance(0.3), oracleUniform(oracle) < 0.3);
+            ASSERT_EQ(rng.uniformInt(0, 287),
+                      oracleUniformInt(oracle, 0, 287));
+        }
+    }
+}
+
+TEST(Rng, NormalMatchesStdNormalDistribution)
+{
+    Rng rng(2018);
+    std::mt19937_64 oracle(2018);
+    const double params[][2] = {
+        {0.0, 1.0}, {5.0, 2.0}, {-3.25, 0.02}, {0.0, 0.0}, {1e6, 40.0}};
+    for (int i = 0; i < 20000; ++i) {
+        const auto &p = params[i % 5];
+        ASSERT_TRUE(sameBits(rng.normal(p[0], p[1]),
+                             oracleNormal(oracle, p[0], p[1])))
+            << "draw " << i;
+    }
+    // The mean applies in fillNormal too.
+    std::vector<double> block(100);
+    rng.fillNormal(block.data(), block.size(), 2.0, 5.0);
+    for (const double v : block)
+        ASSERT_TRUE(sameBits(v, oracleNormal(oracle, 5.0, 2.0)));
+}
+
+TEST(Rng, UniformUniformIntAndShuffleMatchStdDistributions)
+{
+    constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+    const std::int64_t ranges[][2] = {{0, 0},
+                                      {0, 1},
+                                      {0, 287},
+                                      {-5, 5},
+                                      {0, 6'000'000'000},
+                                      {kMin, kMax},
+                                      {kMin / 2, kMax / 2 + 12345}};
+    for (const auto seed : kOracleSeeds) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        std::mt19937_64 oracle(seed);
+        for (int i = 0; i < 5000; ++i) {
+            ASSERT_TRUE(sameBits(rng.uniform(), oracleUniform(oracle)));
+            ASSERT_TRUE(sameBits(rng.uniform(-2.5, 7.0),
+                                 oracleUniform(oracle, -2.5, 7.0)));
+            const auto &r = ranges[i % 7];
+            ASSERT_EQ(rng.uniformInt(r[0], r[1]),
+                      oracleUniformInt(oracle, r[0], r[1]));
+        }
+        std::vector<int> ours(1000), theirs(1000);
+        for (int i = 0; i < 1000; ++i)
+            ours[i] = theirs[i] = i;
+        rng.shuffle(ours);
+        for (std::size_t i = theirs.size(); i > 1; --i) {
+            const auto j = static_cast<std::size_t>(
+                oracleUniformInt(oracle, 0, (std::int64_t)i - 1));
+            std::swap(theirs[i - 1], theirs[j]);
+        }
+        ASSERT_EQ(ours, theirs);
+        ASSERT_EQ(rng.engine()(), oracle());
+    }
 }
 
 TEST(Zipf, RejectsBadParameters)
