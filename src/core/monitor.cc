@@ -110,6 +110,11 @@ measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
                 SOSIM_EVENT(.kind = obs::EventKind::FaultRepair,
                             .a = i, .b = r.samplesRepaired);
         }
+        // Nothing is left to measure (a serve window that has not
+        // filled yet excludes everyone): zero peaks and ratio, which
+        // ingest() never acts on and, degraded, keeps out of the window.
+        if (m.excludedInstances == itraces.size())
+            return m;
         if (want_drift) {
             std::vector<const double *> rows(repaired.size());
             for (trace::TraceId id = 0; id < repaired.size(); ++id)
@@ -168,7 +173,7 @@ FragmentationMonitor::observeWeek(
                     const std::vector<trace::TimeSeries> *>();
                 const auto &assign =
                     *ins[1].as<const power::Assignment *>();
-                return graph::Value::ofNonce(
+                return graph::Value::of(
                     measureWeek(tree_, config_, traces, assign));
             });
     } else {
@@ -210,7 +215,7 @@ FragmentationMonitor::ingest(const MonitorMeasurement &m,
     // before recommending churn.
     const double widen =
         obs.degradedData ? config_.degradedThresholdFactor : 1.0;
-    if (window_.empty()) {
+    if (window_.empty() || obs.rootPeak <= 0.0) {
         obs.action = MonitorAction::None;
     } else {
         const double baseline =

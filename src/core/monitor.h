@@ -134,7 +134,10 @@ struct MonitorMeasurement {
     double sumOfPeaks = 0.0;
     /** Placement-invariant reference: the root (DC) peak. */
     double rootPeak = 0.0;
-    /** sumOfPeaks / rootPeak. */
+    /**
+     * sumOfPeaks / rootPeak; all three are 0 when every instance was
+     * excluded, and such a week never triggers an action.
+     */
     double fragmentationRatio = 0.0;
     /** True when the week's telemetry contained missing samples. */
     bool degradedData = false;

@@ -119,7 +119,7 @@ class PlacementEngine
      * assignment from an already-computed population embedding (one
      * score vector per instance, see core::embedPopulation).  This is
      * the body of the pipeline's PlaceOp; place() is embed +
-     * placeWithEmbedding composed through a two-node op graph.
+     * placeWithEmbedding.
      */
     power::Assignment
     placeWithEmbedding(const std::vector<cluster::Point> &vectors) const;

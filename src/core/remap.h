@@ -155,12 +155,7 @@ class Remapper
            const std::vector<double> *validity = nullptr,
            const cluster::ShapeIndex *shapes = nullptr) const;
 
-    /**
-     * The implementation behind refine(): identical contract, but called
-     * directly instead of through the one-node op graph the public entry
-     * point builds.  This is the body of the pipeline's RemapOp; callers
-     * composing their own graphs use this to avoid a nested graph.
-     */
+    /** Same as refine(); the name the pipeline's RemapOp calls. */
     std::vector<SwapRecord>
     refineInPlace(power::Assignment &assignment,
                   const std::vector<trace::TimeSeries> &itraces,

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "graph/graph.h"
 #include "obs/obs.h"
 #include "util/error.h"
 
@@ -32,11 +31,42 @@ requireShape(const std::vector<trace::TimeSeries> &traces,
         SOSIM_REQUIRE(t.size() == plan.shape().samplesPerTrace, what);
 }
 
+void
+requireTripInputs(const std::vector<trace::TimeSeries> &traces,
+                  const power::Assignment &assignment,
+                  const FaultPlan &plan)
+{
+    requireShape(traces, plan,
+                 "injectBreakerTrips: traces do not match the plan shape");
+    SOSIM_REQUIRE(assignment.size() == traces.size(),
+                  "injectBreakerTrips: assignment does not cover the "
+                  "trace population");
+}
+
+/** Add one breaker-trip pass's tallies to the obs registry. */
+void
+countTrips(const InjectionReport &report)
+{
+    SOSIM_COUNT_ADD("fault.blackout_samples", report.blackoutSamples);
+    SOSIM_COUNT_ADD("fault.instances_blacked_out",
+                    report.instancesBlackedOut);
+    (void)report; // Only read by the counters when obs is compiled on.
+}
+
+/** Add one injection's trace-fault tallies to the obs registry. */
+void
+countTraceFaults(const InjectionReport &report)
+{
+    SOSIM_COUNT_ADD("fault.samples_dropped", report.samplesDropped);
+    SOSIM_COUNT_ADD("fault.samples_stuck", report.samplesStuck);
+    SOSIM_COUNT_ADD("fault.traces_lost", report.tracesLost);
+    SOSIM_COUNT_ADD("fault.traces_skewed", report.tracesSkewed);
+    (void)report; // Only read by the counters when obs is compiled on.
+}
+
 /**
- * Storage-agnostic core of injectTraceFaults: `row(i)` yields the
- * mutable sample pointer of instance i's trace of `n` samples.  Shared
- * by the TimeSeries-vector and TraceArena entry points, which differ
- * only in how rows are stored.
+ * Core of injectTraceFaults: `row(i)` yields the mutable sample pointer
+ * of instance i's trace of `n` samples.
  */
 template <typename RowFn>
 InjectionReport
@@ -156,27 +186,30 @@ injectTraceFaultRows(std::size_t n, RowFn row, const FaultPlan &plan)
                     .a = loss.instance, .d = plan_fp);
     }
 
-    SOSIM_COUNT_ADD("fault.samples_dropped", report.samplesDropped);
-    SOSIM_COUNT_ADD("fault.samples_stuck", report.samplesStuck);
-    SOSIM_COUNT_ADD("fault.traces_lost", report.tracesLost);
-    SOSIM_COUNT_ADD("fault.traces_skewed", report.tracesSkewed);
+    countTraceFaults(report);
     return report;
 }
 
 } // namespace
 
+bool
+injectsNothing(const std::vector<trace::TimeSeries> &traces,
+               const FaultPlan &plan)
+{
+    if (!plan.empty())
+        return false;
+    requireShape(traces, plan,
+                 "injectTraceFaults: traces do not match the plan shape");
+    countTraceFaults(InjectionReport{});
+    return true;
+}
+
 InjectedTraces
 injectedCopy(std::vector<trace::TimeSeries> traces, const FaultPlan &plan)
 {
-    SOSIM_SPAN("fault.inject_traces");
-    requireShape(traces, plan,
-                 "injectedCopy: traces do not match the plan shape");
     InjectedTraces out;
+    out.report = injectTraceFaults(traces, plan);
     out.traces = std::move(traces);
-    // The mutable element access invalidates each touched series' stats.
-    out.report = injectTraceFaultRows(
-        plan.shape().samplesPerTrace,
-        [&](std::size_t i) { return &out.traces[i][0]; }, plan);
     return out;
 }
 
@@ -184,34 +217,25 @@ InjectionReport
 injectTraceFaults(std::vector<trace::TimeSeries> &traces,
                   const FaultPlan &plan)
 {
-    // One-node graph around the functional form: the input is a nonce-
-    // fingerprinted pointer to the caller's population (no hashing, no
-    // extra copy beyond injectedCopy's by-value parameter), and the op
-    // body is the same injectedCopy the pipeline's InjectFaultsOp runs.
-    graph::OpGraph g;
-    const auto in = g.input("traces", graph::Value::ofNonce(&traces));
-    const auto op = g.op(
-        "fault.inject", {in}, plan.fingerprint(),
-        [&plan](const std::vector<graph::Value> &ins) {
-            auto *src = ins[0].as<std::vector<trace::TimeSeries> *>();
-            return graph::Value::ofNonce(injectedCopy(*src, plan));
-        });
-    const auto &result = g.eval(op).as<InjectedTraces>();
-    traces = result.traces;
-    return result.report;
+    SOSIM_SPAN("fault.inject_traces");
+    requireShape(traces, plan,
+                 "injectTraceFaults: traces do not match the plan shape");
+    // The mutable element access invalidates each touched series' stats.
+    return injectTraceFaultRows(
+        plan.shape().samplesPerTrace,
+        [&](std::size_t i) { return &traces[i][0]; }, plan);
 }
 
-InjectionReport
-injectTraceFaults(trace::TraceArena &arena, const FaultPlan &plan)
+bool
+tripsNothing(const std::vector<trace::TimeSeries> &traces,
+             const power::Assignment &assignment, const FaultPlan &plan)
 {
-    SOSIM_SPAN("fault.inject_traces");
-    SOSIM_REQUIRE(arena.size() == plan.shape().instances &&
-                      arena.samplesPerTrace() ==
-                          plan.shape().samplesPerTrace,
-                  "injectTraceFaults: arena does not match the plan shape");
-    return injectTraceFaultRows(
-        arena.samplesPerTrace(),
-        [&](std::size_t i) { return arena.mutableRow(i); }, plan);
+    for (const auto &event : plan.powerEvents())
+        if (event.kind == PowerEventKind::BreakerTrip)
+            return false;
+    requireTripInputs(traces, assignment, plan);
+    countTrips(InjectionReport{});
+    return true;
 }
 
 InjectionReport
@@ -221,11 +245,7 @@ injectBreakerTrips(std::vector<trace::TimeSeries> &traces,
                    const FaultPlan &plan)
 {
     SOSIM_SPAN("fault.inject_breaker_trips");
-    requireShape(traces, plan,
-                 "injectBreakerTrips: traces do not match the plan shape");
-    SOSIM_REQUIRE(assignment.size() == traces.size(),
-                  "injectBreakerTrips: assignment does not cover the "
-                  "trace population");
+    requireTripInputs(traces, assignment, plan);
     InjectionReport report;
     // Trips target racks that actually serve load: resolving the
     // ordinal over occupied racks only keeps sparse topologies (few
@@ -266,9 +286,7 @@ injectBreakerTrips(std::vector<trace::TimeSeries> &traces,
             }
         }
     }
-    SOSIM_COUNT_ADD("fault.blackout_samples", report.blackoutSamples);
-    SOSIM_COUNT_ADD("fault.instances_blacked_out",
-                    report.instancesBlackedOut);
+    countTrips(report);
     return report;
 }
 

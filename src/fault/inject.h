@@ -25,7 +25,6 @@
 
 #include "fault/fault_plan.h"
 #include "power/power_tree.h"
-#include "trace/arena.h"
 #include "trace/time_series.h"
 
 namespace sosim::fault {
@@ -56,9 +55,8 @@ struct InjectedTraces {
 
 /**
  * Functional form of injectTraceFaults: take the population by value,
- * degrade it, and return (degraded traces, report) as one immutable
- * result.  This is the body of the pipeline's InjectFaultsOp — a pure
- * function of (traces, plan) that an op graph can cache by content.
+ * degrade it, and return (degraded traces, report) as one result.  The
+ * pipeline's InjectFaultsOp runs this when injectsNothing() is false.
  */
 InjectedTraces
 injectedCopy(std::vector<trace::TimeSeries> traces, const FaultPlan &plan);
@@ -67,24 +65,20 @@ injectedCopy(std::vector<trace::TimeSeries> traces, const FaultPlan &plan);
  * Apply the plan's trace-level faults (skew, stuck-at, gaps, loss) to a
  * trace population in place.  The population must match the plan's
  * shape.  Samples already NaN are not double-counted.
- *
- * Thin wrapper: builds a one-node op graph around injectedCopy and
- * copies the result back, so the legacy in-place signature and the
- * pipeline path execute the same op body.
  */
 InjectionReport
 injectTraceFaults(std::vector<trace::TimeSeries> &traces,
                   const FaultPlan &plan);
 
 /**
- * Arena overload: apply the same trace-level faults to the rows of a
- * trace::TraceArena in place (row id == plan instance index).  Fault
- * semantics, ordering and counters are identical to the TimeSeries
- * overload; the monitor uses this to degrade an arena copy of the live
- * week without unpacking it into individual series.
+ * Pass-through test for injectTraceFaults: true when the plan schedules
+ * nothing, so injection would leave `traces` as they are and a caller
+ * may share them instead of copying.  Validates the shape and counts
+ * the (zero) damage exactly as injectTraceFaults would.  False, with no
+ * side effect, when the plan schedules anything.
  */
-InjectionReport
-injectTraceFaults(trace::TraceArena &arena, const FaultPlan &plan);
+bool injectsNothing(const std::vector<trace::TimeSeries> &traces,
+                    const FaultPlan &plan);
 
 /**
  * Apply the plan's breaker-trip events: for each trip, the target rack
@@ -100,6 +94,15 @@ injectBreakerTrips(std::vector<trace::TimeSeries> &traces,
                    const power::PowerTree &tree,
                    const power::Assignment &assignment,
                    const FaultPlan &plan);
+
+/**
+ * Pass-through test for injectBreakerTrips: true when the plan
+ * schedules no breaker trip, after the same input validation and
+ * (zero) counter updates.  False, with no side effect, otherwise.
+ */
+bool tripsNothing(const std::vector<trace::TimeSeries> &traces,
+                  const power::Assignment &assignment,
+                  const FaultPlan &plan);
 
 /**
  * Apply the plan's derating events to the budgets of one tree level:

@@ -1,7 +1,6 @@
 #include "graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
 
@@ -52,21 +51,11 @@ fingerprintString(std::string_view s, std::uint64_t seed)
     return fnv1a64(s.data(), s.size(), seed);
 }
 
-std::uint64_t
-nonceFingerprint()
-{
-    // Start away from 0 so a nonce can never collide with an
-    // uninitialized fingerprint field; odd stride keeps the sequence
-    // trivially unique for the life of the process.
-    static std::atomic<std::uint64_t> next{0x9e3779b97f4a7c15ull};
-    return next.fetch_add(0x2545f4914f6cdd1dull,
-                          std::memory_order_relaxed);
-}
-
 Handle
 OpGraph::input(std::string name, Value v)
 {
     SOSIM_REQUIRE(!v.empty(), "OpGraph::input: empty value");
+    SOSIM_REQUIRE(v.fingerprinted(), "OpGraph::input: no fingerprint");
     SOSIM_REQUIRE(byName_.find(name) == byName_.end(),
                   "OpGraph: duplicate node name");
     Node n;
@@ -258,6 +247,10 @@ OpGraph::executeSig(Node &n, std::uint64_t sig,
     out = n.fn(ins);
 #endif
     SOSIM_REQUIRE(!out.empty(), "OpGraph: op returned an empty value");
+    if (!out.fingerprinted()) {
+        out.fp_ = sig;
+        out.fingerprinted_ = true;
+    }
     ++n.evalCount;
     n.cache.insert(n.cache.begin(), CacheEntry{sig, out});
     if (n.cache.size() > kCacheEntries)

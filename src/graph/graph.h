@@ -78,20 +78,19 @@ std::uint64_t fingerprintString(std::string_view s,
                                 std::uint64_t seed = kFnvOffset);
 
 /**
- * A fingerprint guaranteed to differ from every other fingerprint in the
- * process (a global counter in disguise).  Ephemeral one-shot graphs —
- * the thin wrappers that keep legacy entry points' signatures — use nonce
- * fingerprints so they never pay for hashing a whole trace population
- * they will evaluate exactly once.
- */
-std::uint64_t nonceFingerprint();
-
-/**
  * An immutable, type-erased, cheaply-copyable value flowing along graph
- * edges.  Holds a shared_ptr to the payload plus the payload's content
+ * edges.  Holds a shared_ptr to the payload plus the payload's
  * fingerprint; two Values with equal fingerprints are treated as equal by
  * the caching machinery, so fingerprints must be collision-free in
- * practice (content hashes, or nonces for evaluate-once graphs).
+ * practice.
+ *
+ * Fingerprint policy: graph inputs and small op outputs carry content
+ * fingerprints, so an op that recomputes an equal value (same assignment,
+ * same stats) cuts its downstream cone off early.  An op may instead
+ * return an unfingerprinted value — of(payload) — and the graph stamps it
+ * with the node's signature, hash(name, config fp, input fps).  Ops are
+ * pure, so equal signatures mean equal outputs; large outputs (trace
+ * populations) use this to skip hashing every sample.
  */
 class Value
 {
@@ -102,18 +101,40 @@ class Value
     template <typename T>
     static Value of(T payload, std::uint64_t fingerprint)
     {
-        Value v;
-        v.box_ = std::make_shared<const T>(std::move(payload));
-        v.type_ = &typeid(T);
+        Value v = of(std::move(payload));
         v.fp_ = fingerprint;
+        v.fingerprinted_ = true;
         return v;
     }
 
-    /** Box `payload` under a process-unique nonce fingerprint. */
+    /**
+     * Box `payload` unfingerprinted.  Only an op may return such a value:
+     * OpGraph stamps it with the producing node's signature.
+     */
     template <typename T>
-    static Value ofNonce(T payload)
+    static Value of(T payload)
     {
-        return of(std::move(payload), nonceFingerprint());
+        Value v;
+        v.box_ = std::make_shared<const T>(std::move(payload));
+        v.type_ = &typeid(T);
+        return v;
+    }
+
+    /**
+     * A view of `part`, which must live inside `owner`'s payload: shares
+     * the owner's storage (no copy) and keeps it alive.
+     */
+    template <typename T>
+    static Value alias(const Value &owner, const T &part,
+                       std::uint64_t fingerprint)
+    {
+        SOSIM_REQUIRE(owner.box_ != nullptr, "graph::Value: empty owner");
+        Value v;
+        v.box_ = std::shared_ptr<const void>(owner.box_, &part);
+        v.type_ = &typeid(T);
+        v.fp_ = fingerprint;
+        v.fingerprinted_ = true;
+        return v;
     }
 
     /** Typed view of the payload; the type must match exactly. */
@@ -136,13 +157,23 @@ class Value
     /** True when no payload has been boxed. */
     bool empty() const { return box_ == nullptr; }
 
-    /** Content fingerprint (identity for caching purposes). */
-    std::uint64_t fingerprint() const { return fp_; }
+    /** False for an op output the graph has not stamped yet. */
+    bool fingerprinted() const { return fingerprinted_; }
+
+    /** Fingerprint (identity for caching purposes). */
+    std::uint64_t fingerprint() const
+    {
+        SOSIM_REQUIRE(fingerprinted_, "graph::Value: no fingerprint");
+        return fp_;
+    }
 
   private:
+    friend class OpGraph;
+
     std::shared_ptr<const void> box_;
     const std::type_info *type_ = nullptr;
     std::uint64_t fp_ = 0;
+    bool fingerprinted_ = false;
 };
 
 /** Opaque id of a node in an OpGraph. */
@@ -172,6 +203,7 @@ class Overlay
     {
         SOSIM_REQUIRE(h.valid(), "graph::Overlay: invalid handle");
         SOSIM_REQUIRE(!v.empty(), "graph::Overlay: empty value");
+        SOSIM_REQUIRE(v.fingerprinted(), "graph::Overlay: no fingerprint");
         values_[h.id] = std::move(v);
         return *this;
     }

@@ -28,33 +28,39 @@ fpDouble(std::uint64_t h, double d)
     return graph::hashCombine(h, bits);
 }
 
-std::uint64_t
-fpInjectionReport(std::uint64_t h, const fault::InjectionReport &r)
+/**
+ * The zero-copy output of an op that leaves its population as it is: a
+ * plain population sharing the input's storage, fingerprinted from the
+ * input's fingerprint alone.  So an op whose config cannot matter on
+ * this input (a repair policy on clean data) keeps its consumers'
+ * caches warm.
+ */
+graph::Value
+passThrough(const graph::Value &in)
 {
-    h = graph::hashCombine(h, r.samplesDropped);
-    h = graph::hashCombine(h, r.samplesStuck);
-    h = graph::hashCombine(h, r.tracesLost);
-    h = graph::hashCombine(h, r.tracesSkewed);
-    h = graph::hashCombine(h, r.blackoutSamples);
-    h = graph::hashCombine(h, r.instancesBlackedOut);
-    return graph::hashCombine(h, r.nodesDerated);
+    return graph::Value::alias(
+        in, tracesOf(in),
+        graph::fingerprintString("pass-through", in.fingerprint()));
 }
 
-std::uint64_t
-fpInjectedTraces(const fault::InjectedTraces &v)
+/** An inject or trips node's report; zero when it passed through. */
+fault::InjectionReport
+injectionReportOf(const graph::Value &v)
 {
-    return fpInjectionReport(core::fingerprintTraces(v.traces), v.report);
+    return v.is<fault::InjectedTraces>()
+               ? v.as<fault::InjectedTraces>().report
+               : fault::InjectionReport{};
 }
 
-std::uint64_t
-fpRepairedTraces(const trace::RepairedTraces &v)
+/** A repair node's summary; all-valid when it passed through. */
+trace::RepairSummary
+repairSummaryOf(const graph::Value &v)
 {
-    std::uint64_t h = core::fingerprintTraces(v.traces);
-    h = graph::hashCombine(h, v.summary.tracesDegraded);
-    h = graph::hashCombine(h, v.summary.samplesRepaired);
-    h = graph::hashCombine(h, v.summary.tracesUnrepairable);
-    return graph::fingerprintDoubles(v.summary.validBefore.data(),
-                                     v.summary.validBefore.size(), h);
+    if (v.is<trace::RepairedTraces>())
+        return v.as<trace::RepairedTraces>().summary;
+    trace::RepairSummary all_valid;
+    all_valid.validBefore.assign(tracesOf(v).size(), 1.0);
+    return all_valid;
 }
 
 std::uint64_t
@@ -181,11 +187,12 @@ InjectFaultsOp::add(graph::OpGraph &g, std::string name,
 {
     return g.op(std::move(name), {traces, plan}, 0,
                 [](const std::vector<graph::Value> &ins) {
-                    auto out = fault::injectedCopy(
-                        tracesOf(ins[0]),
-                        ins[1].as<fault::FaultPlan>());
-                    const auto fp = fpInjectedTraces(out);
-                    return graph::Value::of(std::move(out), fp);
+                    const auto &population = tracesOf(ins[0]);
+                    const auto &plan = ins[1].as<fault::FaultPlan>();
+                    if (fault::injectsNothing(population, plan))
+                        return passThrough(ins[0]);
+                    return graph::Value::of(
+                        fault::injectedCopy(population, plan));
                 });
 }
 
@@ -195,11 +202,11 @@ RepairOp::add(graph::OpGraph &g, std::string name, graph::Handle traces,
 {
     return g.op(std::move(name), {traces, policy}, 0,
                 [](const std::vector<graph::Value> &ins) {
-                    auto out = trace::repairedCopy(
-                        tracesOf(ins[0]),
-                        ins[1].as<trace::RepairPolicy>());
-                    const auto fp = fpRepairedTraces(out);
-                    return graph::Value::of(std::move(out), fp);
+                    const auto &population = tracesOf(ins[0]);
+                    if (trace::repairsNothing(population))
+                        return passThrough(ins[0]);
+                    return graph::Value::of(trace::repairedCopy(
+                        population, ins[1].as<trace::RepairPolicy>()));
                 });
 }
 
@@ -370,13 +377,16 @@ BreakerTripsOp::add(graph::OpGraph &g, std::string name,
     return g.op(
         std::move(name), {traces, assignment, plan}, tree_fp,
         [tree = std::move(tree)](const std::vector<graph::Value> &ins) {
+            const auto &population = tracesOf(ins[0]);
+            const auto &assignment = assignmentOf(ins[1]);
+            const auto &plan = ins[2].as<fault::FaultPlan>();
+            if (fault::tripsNothing(population, assignment, plan))
+                return passThrough(ins[0]);
             fault::InjectedTraces out;
-            out.traces = tracesOf(ins[0]);
-            out.report = fault::injectBreakerTrips(
-                out.traces, *tree, assignmentOf(ins[1]),
-                ins[2].as<fault::FaultPlan>());
-            const auto fp = fpInjectedTraces(out);
-            return graph::Value::of(std::move(out), fp);
+            out.traces = population;
+            out.report = fault::injectBreakerTrips(out.traces, *tree,
+                                                   assignment, plan);
+            return graph::Value::of(std::move(out));
         });
 }
 
@@ -432,10 +442,10 @@ buildPipeline(const PipelineSpec &spec)
     for (std::size_t i = 0; i < dc.instanceCount(); ++i)
         service_of[i] = dc.serviceOf(i);
 
-    // An unfaulted pipeline still carries inject/repair nodes, fed by
-    // an empty "none" plan: injection schedules nothing and repair
-    // finds nothing to fill, so both are value-level no-ops and the
-    // graph shape does not depend on the fault switch.  The empty plan
+    // An unfaulted pipeline still carries inject/repair/trips nodes,
+    // fed by an empty "none" plan: each finds nothing to do and passes
+    // its input population through without a copy, so the graph shape
+    // does not depend on the fault switch.  The empty plan
     // is built for the wildcard shape {0, 0}, which composes with a
     // population of any shape — input edits and what-if overlays may
     // resample or resize the trace populations freely.
@@ -556,15 +566,8 @@ runPipeline(Pipeline &p, const graph::Overlay &overlay)
 
     PipelineResult r;
     r.plan = ev(p.planIn).as<fault::FaultPlan>();
-    {
-        const auto injected = ev(p.injectTrainingOp);
-        r.trainingFaults = injected.as<fault::InjectedTraces>().report;
-    }
-    {
-        const auto repaired = ev(p.repairTrainingOp);
-        r.trainingRepair =
-            repaired.as<trace::RepairedTraces>().summary;
-    }
+    r.trainingFaults = injectionReportOf(ev(p.injectTrainingOp));
+    r.trainingRepair = repairSummaryOf(ev(p.repairTrainingOp));
     {
         const auto oblivious = ev(p.obliviousOp);
         r.oblivious = assignmentOf(oblivious);
@@ -575,10 +578,7 @@ runPipeline(Pipeline &p, const graph::Overlay &overlay)
         r.optimized = result.assignment;
         r.swaps = result.swaps;
     }
-    {
-        const auto tripped = ev(p.tripsOp);
-        r.tripFaults = tripped.as<fault::InjectedTraces>().report;
-    }
+    r.tripFaults = injectionReportOf(ev(p.tripsOp));
     {
         const auto compared = ev(p.compareOp);
         r.comparison = compared.as<core::HeadroomReport>();

@@ -8,9 +8,10 @@
  * graph/graph.h is domain-agnostic; this layer binds the library's
  * stages to it as typed ops — InjectFaultsOp, RepairOp, StatsOp,
  * ScoreOp, EmbedOp, PlaceOp, RemapOp, MonitorOp and friends — each a
- * pure function from upstream Values to one output Value carrying a
- * content fingerprint, so downstream nodes re-run only when a value
- * they can observe actually changed.
+ * pure function from upstream Values to one output Value.  Small
+ * outputs carry content fingerprints, so downstream nodes re-run only
+ * when a value they can observe actually changed; trace populations
+ * take their node's signature instead (see graph::Value).
  *
  * buildPipeline() assembles the full report pipeline (the exact
  * sequence of `sosim report`: generate -> inject -> repair -> oblivious
@@ -85,13 +86,21 @@ const power::Assignment &assignmentOf(const graph::Value &v);
 // core::fingerprintTree into their config fingerprint.
 // ---------------------------------------------------------------------
 
-/** fault::injectedCopy(traces, plan) -> fault::InjectedTraces. */
+/**
+ * fault::injectedCopy(traces, plan) -> fault::InjectedTraces.  When the
+ * plan schedules nothing (fault::injectsNothing), the op returns its
+ * input population instead, shared and not copied.
+ */
 struct InjectFaultsOp {
     static graph::Handle add(graph::OpGraph &g, std::string name,
                              graph::Handle traces, graph::Handle plan);
 };
 
-/** trace::repairedCopy(traces, policy) -> trace::RepairedTraces. */
+/**
+ * trace::repairedCopy(traces, policy) -> trace::RepairedTraces.  When
+ * every sample is finite (trace::repairsNothing), the op returns its
+ * input population instead, shared and not copied.
+ */
 struct RepairOp {
     static graph::Handle add(graph::OpGraph &g, std::string name,
                              graph::Handle traces, graph::Handle policy);
@@ -174,7 +183,11 @@ struct RemapOp {
                              std::shared_ptr<const power::PowerTree> tree);
 };
 
-/** fault::injectBreakerTrips on a copy -> fault::InjectedTraces. */
+/**
+ * fault::injectBreakerTrips on a copy -> fault::InjectedTraces.  When
+ * the plan schedules no breaker trip (fault::tripsNothing), the op
+ * returns its input population instead, shared and not copied.
+ */
 struct BreakerTripsOp {
     static graph::Handle add(graph::OpGraph &g, std::string name,
                              graph::Handle traces, graph::Handle assignment,
@@ -289,8 +302,9 @@ struct PipelineResult {
 /**
  * Generate the datacenter and assemble the report pipeline.  With
  * spec.faulted == false the fault plan input is the empty "none"
- * profile, which makes the inject and repair nodes value-level no-ops —
- * the pipeline shape is identical either way.
+ * profile, so the inject, repair and trips nodes pass their
+ * populations through uncopied — the pipeline shape is identical
+ * either way.
  */
 Pipeline buildPipeline(const PipelineSpec &spec);
 

@@ -70,8 +70,8 @@ struct RepairResult {
 
 /**
  * Fill the NaN gaps of a raw sample span in place under a policy — the
- * storage-agnostic core of repairSeries, shared by the TimeSeries and
- * TraceArena entry points.
+ * storage-agnostic core of repairSeries (the monitor runs it on arena
+ * rows).
  */
 RepairResult repairSpan(double *samples, std::size_t n,
                         RepairPolicy policy);
@@ -108,9 +108,8 @@ struct RepairedTraces {
 
 /**
  * Functional form of repairAll: take the population by value, repair
- * every series, and return (repaired traces, summary) as one immutable
- * result.  This is the body of the pipeline's RepairOp — a pure
- * function of (traces, policy) that an op graph can cache by content.
+ * every series, and return (repaired traces, summary) as one result.
+ * The pipeline's RepairOp runs this when repairsNothing() is false.
  */
 RepairedTraces repairedCopy(std::vector<TimeSeries> traces,
                             RepairPolicy policy);
@@ -120,21 +119,19 @@ RepairedTraces repairedCopy(std::vector<TimeSeries> traces,
  * "trace.repair.samples_repaired" / "trace.repair.traces_degraded" /
  * "trace.repair.traces_unrepairable" counters and the
  * "trace.repair.valid_fraction" histogram.
- *
- * Thin wrapper: builds a one-node op graph around repairedCopy and
- * copies the result back, so the legacy in-place signature and the
- * pipeline path execute the same op body.
  */
 RepairSummary repairAll(std::vector<TimeSeries> &traces,
                         RepairPolicy policy);
 
 /**
- * Arena overload: repair every row of a TraceArena in place.  Same
- * policies, same counters, same per-row results as the TimeSeries
- * overload — the rows are just contiguous instead of individually owned.
- * Each repaired row's cached stats are invalidated.
+ * Pass-through test for repairAll: true when every sample is finite, so
+ * repair under any policy would leave `traces` as they are and a caller
+ * may share them instead of copying.  Counts the all-valid outcome
+ * exactly as repairAll would (zero repairs, one valid-fraction
+ * observation of 1.0 per trace).  False, with no side effect, when any
+ * sample is missing.
  */
-RepairSummary repairAll(TraceArena &arena, RepairPolicy policy);
+bool repairsNothing(const std::vector<TimeSeries> &traces);
 
 } // namespace sosim::trace
 

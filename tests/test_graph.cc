@@ -181,6 +181,30 @@ TEST(OpGraph, MisuseIsFatal)
     EXPECT_TRUE(g.find("op").valid());
 }
 
+TEST(OpGraph, UnfingerprintedOutputsTakeTheNodeSignature)
+{
+    const auto build = [](graph::OpGraph &g, int a_value) {
+        const auto a = g.input("a", intValue(a_value));
+        return g.op("sum", {a}, 3,
+                    [](const std::vector<graph::Value> &ins) {
+                        return graph::Value::of(ins[0].as<int>() + 1);
+                    });
+    };
+    graph::OpGraph g1, g2, g3;
+    const auto s1 = build(g1, 1);
+    const auto s2 = build(g2, 1);
+    const auto s3 = build(g3, 2);
+    EXPECT_TRUE(g1.eval(s1).fingerprinted());
+    EXPECT_EQ(g1.eval(s1).fingerprint(), g2.eval(s2).fingerprint());
+    EXPECT_NE(g1.eval(s1).fingerprint(), g3.eval(s3).fingerprint());
+
+    // Only op outputs may arrive unfingerprinted.
+    EXPECT_FALSE(graph::Value::of(1).fingerprinted());
+    EXPECT_THROW(g1.input("b", graph::Value::of(1)), std::exception);
+    EXPECT_THROW(graph::Overlay().set(graph::Handle{0}, graph::Value::of(1)),
+                 std::exception);
+}
+
 // ---------------------------------------------------------------------
 // Pipeline parity.  goldenSpec()/Digest mirror tests/test_golden.cc;
 // the graph path must reproduce the same committed digest, byte for
@@ -468,9 +492,9 @@ TEST(GraphWhatIf, ParseComposesKeysAndRejectsUnknownOnes)
 }
 
 // ---------------------------------------------------------------------
-// Fuzz: random single-trace edits (via setInput) and random overlay
-// stacks, each checked bit-identical against a cold rebuild, with the
-// cache counters proving the untouched cone never re-executed.
+// Pass-through and signature fingerprints.  Inject, repair and trips
+// share their input population when they have nothing to do; when they
+// do work, their outputs take the node signature as fingerprint.
 
 std::vector<trace::TimeSeries>
 withEditedTrace(const std::vector<trace::TimeSeries> &traces,
@@ -485,11 +509,202 @@ withEditedTrace(const std::vector<trace::TimeSeries> &traces,
     return out;
 }
 
-TEST(GraphFuzz, EditsAndOverlayStacksMatchColdRebuild)
+const double *
+firstSamples(pipeline::Pipeline &p, graph::Handle h)
+{
+    return pipeline::tracesOf(p.graph.eval(h)).front().samples().data();
+}
+
+TEST(GraphPassThrough, CleanPipelineSharesItsPopulations)
+{
+    pipeline::PipelineSpec spec;
+    spec.dc = goldenSpec();
+    auto p = pipeline::buildPipeline(spec);
+    const auto cold = pipeline::runPipeline(p);
+    // The pass-through ops still execute: the count is unchanged.
+    EXPECT_EQ(cold.opsExecuted, 13u + 2u * p.weekIns.size());
+
+    const double *training = firstSamples(p, p.trainingIn);
+    const double *test = firstSamples(p, p.testIn);
+    EXPECT_EQ(firstSamples(p, p.injectTrainingOp), training);
+    EXPECT_EQ(firstSamples(p, p.repairTrainingOp), training);
+    EXPECT_EQ(firstSamples(p, p.injectTestOp), test);
+    EXPECT_EQ(firstSamples(p, p.repairTestOp), test);
+    EXPECT_EQ(firstSamples(p, p.tripsOp), test);
+    for (std::size_t w = 0; w < p.weekIns.size(); ++w)
+        EXPECT_EQ(firstSamples(p, p.weekInjectOps[w]),
+                  firstSamples(p, p.weekIns[w]))
+            << "week " << w;
+
+    // The reports read as the zero report and the all-valid summary.
+    EXPECT_EQ(cold.trainingFaults.samplesDropped, 0u);
+    EXPECT_EQ(cold.trainingFaults.tracesSkewed, 0u);
+    EXPECT_EQ(cold.tripFaults.blackoutSamples, 0u);
+    EXPECT_EQ(cold.trainingRepair.samplesRepaired, 0u);
+    EXPECT_EQ(cold.trainingRepair.validBefore,
+              std::vector<double>(p.instanceCount, 1.0));
+}
+
+TEST(GraphPassThrough, RepairPolicyWhatIfOnCleanDataRunsOnlyTheRepairs)
+{
+    pipeline::PipelineSpec spec;
+    spec.dc = goldenSpec();
+    auto p = pipeline::buildPipeline(spec);
+    const auto cold = pipeline::runPipeline(p);
+
+    // Clean data repairs to itself under any policy, so the repair
+    // outputs keep their fingerprints and everything downstream hits.
+    const auto warm = pipeline::runPipeline(
+        p, pipeline::whatIfRepairPolicy(p, trace::RepairPolicy::HoldLast));
+    EXPECT_EQ(warm.opsExecuted, 2u);
+    EXPECT_EQ(p.graph.evalCount(p.repairTrainingOp), 2u);
+    EXPECT_EQ(p.graph.evalCount(p.repairTestOp), 2u);
+    EXPECT_EQ(resultDigest(warm), resultDigest(cold));
+}
+
+TEST(GraphPassThrough, EmptyConcretePlanStillValidatesTheShape)
+{
+    pipeline::PipelineSpec spec;
+    spec.dc = goldenSpec();
+    auto p = pipeline::buildPipeline(spec);
+    const auto plan = fault::FaultPlan::build(
+        0, fault::faultProfile("none"), p.shape);
+    ASSERT_TRUE(plan.empty());
+    p.graph.setInput(p.planIn, graph::Value::of(plan, plan.fingerprint()));
+    EXPECT_NO_THROW(pipeline::runPipeline(p));
+
+    auto shorter = p.graph.eval(p.trainingIn)
+                       .as<std::vector<trace::TimeSeries>>();
+    shorter.pop_back();
+    const auto fp = core::fingerprintTraces(shorter);
+    p.graph.setInput(p.trainingIn,
+                     graph::Value::of(std::move(shorter), fp));
+    EXPECT_THROW(p.graph.eval(p.injectTrainingOp), std::exception);
+}
+
+#if SOSIM_OBS_ENABLED
+/** The fault.* / trace.repair.* registry readings a clean run moves. */
+std::vector<std::uint64_t>
+faultAndRepairReadings()
+{
+    std::vector<std::uint64_t> out;
+    for (const char *name :
+         {"fault.samples_dropped", "fault.samples_stuck",
+          "fault.traces_lost", "fault.traces_skewed",
+          "fault.blackout_samples", "fault.instances_blacked_out",
+          "trace.repair.samples_repaired", "trace.repair.traces_degraded",
+          "trace.repair.traces_unrepairable"})
+        out.push_back(obs::registry().counter(name).value());
+    out.push_back(obs::registry()
+                      .histogram("trace.repair.valid_fraction")
+                      .snapshot()
+                      .count);
+    return out;
+}
+
+std::vector<std::uint64_t>
+minus(std::vector<std::uint64_t> a, const std::vector<std::uint64_t> &b)
+{
+    for (std::size_t i = 0; i < a.size(); ++i)
+        a[i] -= b[i];
+    return a;
+}
+
+TEST(GraphPassThrough, CleanRunCountsExactlyLikeTheCopyPath)
+{
+    pipeline::PipelineSpec spec;
+    spec.dc = goldenSpec();
+
+    // The same stages as plain in-place calls on copies.
+    const auto dc = workload::generate(spec.dc);
+    auto training = dc.trainingTraces();
+    auto test = dc.testTraces();
+    std::vector<std::size_t> service_of(dc.instanceCount());
+    for (std::size_t i = 0; i < dc.instanceCount(); ++i)
+        service_of[i] = dc.serviceOf(i);
+    const power::PowerTree tree(spec.dc.topology);
+    const auto plan = fault::FaultPlan::build(
+        0, fault::faultProfile("none"), fault::TraceShape{});
+    const auto before = faultAndRepairReadings();
+    fault::injectTraceFaults(training, plan);
+    trace::repairAll(training, spec.repairPolicy);
+    fault::injectTraceFaults(test, plan);
+    trace::repairAll(test, spec.repairPolicy);
+    fault::injectBreakerTrips(
+        test, tree, baseline::obliviousPlacement(tree, service_of), plan);
+    for (int w = 0; w < spec.dc.weeks; ++w) {
+        std::vector<trace::TimeSeries> week;
+        for (std::size_t i = 0; i < dc.instanceCount(); ++i)
+            week.push_back(dc.weekTrace(i, w));
+        fault::injectTraceFaults(week, plan);
+    }
+    const auto copy_path = minus(faultAndRepairReadings(), before);
+    EXPECT_EQ(copy_path.back(), 2u * dc.instanceCount());
+
+    auto p = pipeline::buildPipeline(spec);
+    const auto mid = faultAndRepairReadings();
+    pipeline::runPipeline(p);
+    EXPECT_EQ(minus(faultAndRepairReadings(), mid), copy_path);
+}
+#endif // SOSIM_OBS_ENABLED
+
+TEST(GraphSignature, FingerprintsFollowInputsAcrossGraphs)
+{
+    pipeline::PipelineSpec spec;
+    spec.dc = goldenSpec();
+    spec.faulted = true;
+    spec.faultSeed = 7;
+    auto a = pipeline::buildPipeline(spec);
+    auto b = pipeline::buildPipeline(spec);
+    pipeline::runPipeline(a);
+    pipeline::runPipeline(b);
+
+    // Independently built graphs with equal inputs: equal fingerprints
+    // on separately computed payloads.
+    const auto ops = {a.injectTrainingOp, a.repairTrainingOp,
+                      a.injectTestOp,     a.repairTestOp,
+                      a.tripsOp,          a.weekInjectOps[0]};
+    for (const auto h : ops) {
+        const auto &va = a.graph.eval(h);
+        const auto &vb = b.graph.eval(h);
+        EXPECT_EQ(va.fingerprint(), vb.fingerprint()) << a.graph.name(h);
+        EXPECT_NE(firstSamples(a, h), firstSamples(b, h))
+            << a.graph.name(h) << " was passed through";
+    }
+    EXPECT_TRUE(a.graph.eval(a.injectTrainingOp).is<fault::InjectedTraces>());
+    EXPECT_TRUE(
+        a.graph.eval(a.repairTrainingOp).is<trace::RepairedTraces>());
+
+    // One edited training sample moves the training cone's population
+    // fingerprints and leaves the test cone's alone.
+    const auto training =
+        b.graph.eval(b.trainingIn).as<std::vector<trace::TimeSeries>>();
+    const auto edited = withEditedTrace(training, 3, 5, 1.0);
+    b.graph.setInput(b.trainingIn,
+                     graph::Value::of(edited,
+                                      core::fingerprintTraces(edited)));
+    pipeline::runPipeline(b);
+    EXPECT_NE(a.graph.eval(a.injectTrainingOp).fingerprint(),
+              b.graph.eval(b.injectTrainingOp).fingerprint());
+    EXPECT_NE(a.graph.eval(a.repairTrainingOp).fingerprint(),
+              b.graph.eval(b.repairTrainingOp).fingerprint());
+    EXPECT_EQ(a.graph.eval(a.repairTestOp).fingerprint(),
+              b.graph.eval(b.repairTestOp).fingerprint());
+}
+
+// ---------------------------------------------------------------------
+// Fuzz: random single-trace edits (via setInput) and random overlay
+// stacks, each checked bit-identical against a cold rebuild, with the
+// cache counters proving the untouched cone never re-executed.
+
+void
+fuzzEditsAndOverlayStacks(bool faulted)
 {
     pipeline::PipelineSpec spec;
     spec.dc = goldenSpec();
     spec.dc.weeks = 1; // keep the fuzz rounds cheap
+    spec.faulted = faulted;
+    spec.faultSeed = 7;
     auto warm_p = pipeline::buildPipeline(spec);
     pipeline::runPipeline(warm_p);
 
@@ -580,6 +795,18 @@ TEST(GraphFuzz, EditsAndOverlayStacksMatchColdRebuild)
         EXPECT_EQ(again.opsExecuted, 0u);
         EXPECT_EQ(resultDigest(again), resultDigest(warm));
     }
+}
+
+TEST(GraphFuzz, EditsAndOverlayStacksMatchColdRebuild)
+{
+    fuzzEditsAndOverlayStacks(false);
+}
+
+TEST(GraphFuzz, FaultedEditsAndOverlayStacksMatchColdRebuild)
+{
+    // The population ops do real work here, so signature-fingerprinted
+    // populations meet setInput edits and overlay stacks.
+    fuzzEditsAndOverlayStacks(true);
 }
 
 } // namespace

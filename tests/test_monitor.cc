@@ -3,6 +3,8 @@
  * Tests for the continuous fragmentation monitor (section 3.6).
  */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/monitor.h"
@@ -157,6 +159,38 @@ TEST(Monitor, SlidingWindowForgetsOldBest)
     monitor.observeWeek(weekTraces(0.0), assignment);
     const auto w4 = monitor.observeWeek(weekTraces(0.0), assignment);
     EXPECT_EQ(w4.action, MonitorAction::None);
+}
+
+TEST(Monitor, WeekWithEveryInstanceExcludedIsDegradedNotFatal)
+{
+    power::PowerTree tree(tinyTopology());
+    const MonitorConfig config; // minValidFraction 0.5
+    FragmentationMonitor monitor(tree, config);
+    power::Assignment assignment{tree.racks()[0], tree.racks()[1]};
+    monitor.observeWeek(weekTraces(0.0), assignment);
+    ASSERT_EQ(monitor.baselineState().window.size(), 1u);
+
+    // Both instances are three-quarters missing, so both fall below
+    // minValidFraction and nothing is left to aggregate.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<TimeSeries> sparse{
+        TimeSeries({1.0, nan, nan, nan}, 60),
+        TimeSeries({nan, nan, 0.5, nan}, 60)};
+    const auto m = core::measureWeek(tree, config, sparse, assignment);
+    EXPECT_TRUE(m.degradedData);
+    EXPECT_EQ(m.excludedInstances, 2u);
+    EXPECT_EQ(m.repairedSamples, 0u);
+    EXPECT_EQ(m.validFraction, 0.25);
+    EXPECT_EQ(m.sumOfPeaks, 0.0);
+    EXPECT_EQ(m.rootPeak, 0.0);
+    EXPECT_EQ(m.fragmentationRatio, 0.0);
+
+    // No action, even against a baseline a zero ratio would undercut,
+    // and the week stays out of the baseline window.
+    const auto obs = monitor.ingest(m);
+    EXPECT_EQ(obs.action, MonitorAction::None);
+    EXPECT_TRUE(obs.degradedData);
+    EXPECT_EQ(monitor.baselineState().window.size(), 1u);
 }
 
 } // namespace

@@ -465,6 +465,50 @@ TEST(ServeService, ActsOnMonitorRecommendations)
     EXPECT_GT(svc.ring().rejectedCount(IngestStatus::RejectedFuture), 0u);
 }
 
+/**
+ * An epoch that closes before the window has filled leaves every
+ * instance below minValidFraction.  It must commit as a degraded,
+ * action-free epoch with a zero ratio instead of aborting, and stay out
+ * of the baseline: a zero baseline would make the first healthy epoch
+ * read as infinitely degraded and trigger a Replace.
+ */
+TEST(ServeService, EpochBeforeTheWindowFillsIsDegradedNotFatal)
+{
+    power::PowerTree tree(tinyTopology());
+    const auto service_of = tinyServices();
+    auto initial = baseline::obliviousPlacement(tree, service_of);
+    auto config = tinyConfig("");
+    config.epochTicks = 3; // the first epoch sees 3 of 12 window ticks
+    serve::Service svc(tree, service_of, initial, 60, config);
+
+    std::vector<serve::EpochResult> results;
+    for (std::uint64_t t = 0; t <= 15; ++t) {
+        svc.advanceTo(t);
+        for (auto &r : svc.processReadyEpochs())
+            results.push_back(r);
+        for (std::size_t i = 0; i < kInstances; ++i)
+            svc.ingest({t, i, feedWatts(i, t)});
+    }
+    // Boundaries 3, 6, 9, 12 and 15; the window fills at tick 12.
+    ASSERT_EQ(results.size(), 5u);
+    const auto &empty = results[0].observation;
+    EXPECT_TRUE(empty.degradedData);
+    EXPECT_EQ(empty.excludedInstances, kInstances);
+    EXPECT_EQ(empty.rootPeak, 0.0);
+    EXPECT_EQ(empty.fragmentationRatio, 0.0);
+    for (std::size_t e = 0; e < 4; ++e) {
+        EXPECT_EQ(results[e].observation.action, core::MonitorAction::None)
+            << "epoch " << results[e].epoch;
+        EXPECT_TRUE(std::isfinite(results[e].observation.fragmentationRatio));
+    }
+    EXPECT_TRUE(results[1].observation.degradedData);
+    EXPECT_EQ(results[1].observation.excludedInstances, 0u);
+    EXPECT_FALSE(results[3].observation.degradedData);
+    EXPECT_GT(results[3].observation.fragmentationRatio, 0.0);
+    EXPECT_FALSE(results[4].replaced);
+    EXPECT_EQ(svc.committedEpoch(), 5u);
+}
+
 /** Run the full scenario unbroken and return the final digest. */
 std::uint64_t
 unbrokenDigest(std::uint64_t ticks)
