@@ -110,9 +110,9 @@ measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
                 SOSIM_EVENT(.kind = obs::EventKind::FaultRepair,
                             .a = i, .b = r.samplesRepaired);
         }
-        // Nothing is left to measure (a serve window that has not
-        // filled yet excludes everyone): zero peaks and ratio, which
-        // ingest() never acts on and, degraded, keeps out of the window.
+        // Nothing left to measure (e.g. a serve window not yet full):
+        // a zero ratio is below any baseline, so ingest() takes no
+        // action, and being degraded it stays out of the window.
         if (m.excludedInstances == itraces.size())
             return m;
         if (want_drift) {
@@ -215,7 +215,7 @@ FragmentationMonitor::ingest(const MonitorMeasurement &m,
     // before recommending churn.
     const double widen =
         obs.degradedData ? config_.degradedThresholdFactor : 1.0;
-    if (window_.empty() || obs.rootPeak <= 0.0) {
+    if (window_.empty()) {
         obs.action = MonitorAction::None;
     } else {
         const double baseline =
