@@ -194,15 +194,6 @@ Remapper::refine(power::Assignment &assignment,
                  const std::vector<double> *validity,
                  const cluster::ShapeIndex *shapes) const
 {
-    return refineInPlace(assignment, itraces, validity, shapes);
-}
-
-std::vector<SwapRecord>
-Remapper::refineInPlace(power::Assignment &assignment,
-                        const std::vector<trace::TimeSeries> &itraces,
-                        const std::vector<double> *validity,
-                        const cluster::ShapeIndex *shapes) const
-{
     SOSIM_SPAN("remap.refine");
     SOSIM_EVENT_SCOPE(.kind = obs::EventKind::Scope,
                       .label = "remap.refine");
@@ -496,6 +487,9 @@ Remapper::refineInPlace(power::Assignment &assignment,
             const std::size_t cluster_a =
                 prune ? prune_index.clusterOf(inst_a) : 0;
             ShardSlot &slot = local[task];
+            // Stored once per task: neighbouring tallies share cache
+            // lines, so per-pair writes from concurrent lanes false-share.
+            RejectTally rejects;
             for (std::size_t r = shard.begin; r < shard.end; ++r) {
                 const power::NodeId rack_b_id = rack_ids[r];
                 if (rack_b_id == worst_rack)
@@ -514,9 +508,8 @@ Remapper::refineInPlace(power::Assignment &assignment,
                     const std::size_t inst_b = rack_b.members[pos_b];
                     if (!swappable(inst_b)) {
                         if (recording)
-                            tally[task].note(
-                                obs::RejectReason::ValidityGate, inst_b,
-                                0.0, 0.0);
+                            rejects.note(obs::RejectReason::ValidityGate,
+                                         inst_b, 0.0, 0.0);
                         continue;
                     }
                     // Cluster prune: partners whose diurnal shape falls
@@ -527,8 +520,8 @@ Remapper::refineInPlace(power::Assignment &assignment,
                             cluster_a, prune_index.clusterOf(inst_b))) {
                         ++slot.pruned;
                         if (recording)
-                            tally[task].note(obs::RejectReason::Pruned,
-                                             inst_b, 0.0, 0.0);
+                            rejects.note(obs::RejectReason::Pruned,
+                                         inst_b, 0.0, 0.0);
                         continue;
                     }
                     ++slot.evaluated;
@@ -544,9 +537,9 @@ Remapper::refineInPlace(power::Assignment &assignment,
                         score_a_before);
                     if (score_a_after <= score_a_before) {
                         if (recording)
-                            tally[task].note(
-                                obs::RejectReason::EarlyReject, inst_b,
-                                score_a_before, score_a_after);
+                            rejects.note(obs::RejectReason::EarlyReject,
+                                         inst_b, score_a_before,
+                                         score_a_after);
                         continue;
                     }
                     const double score_b_before =
@@ -574,9 +567,9 @@ Remapper::refineInPlace(power::Assignment &assignment,
                     // Accept only improving-both-nodes swaps (paper).
                     if (score_b_after <= score_b_before) {
                         if (recording)
-                            tally[task].note(
-                                obs::RejectReason::NoImprovement, inst_b,
-                                score_b_before, score_b_after);
+                            rejects.note(obs::RejectReason::NoImprovement,
+                                         inst_b, score_b_before,
+                                         score_b_after);
                         continue;
                     }
                     const double gain =
@@ -597,6 +590,8 @@ Remapper::refineInPlace(power::Assignment &assignment,
                     }
                 }
             }
+            if (recording)
+                tally[task] = rejects;
         };
         // One chunk per task: shard occupancy varies, so dynamic claims
         // load-balance uneven shards across the pool lanes.

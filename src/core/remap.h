@@ -155,12 +155,15 @@ class Remapper
            const std::vector<double> *validity = nullptr,
            const cluster::ShapeIndex *shapes = nullptr) const;
 
-    /** Same as refine(); the name the pipeline's RemapOp calls. */
+    /** Older name of refine(), kept for the benchmark harness. */
     std::vector<SwapRecord>
     refineInPlace(power::Assignment &assignment,
                   const std::vector<trace::TimeSeries> &itraces,
                   const std::vector<double> *validity = nullptr,
-                  const cluster::ShapeIndex *shapes = nullptr) const;
+                  const cluster::ShapeIndex *shapes = nullptr) const
+    {
+        return refine(assignment, itraces, validity, shapes);
+    }
 
     /**
      * Asynchrony score of each rack under an assignment (1-member racks

@@ -193,8 +193,8 @@ injectTraceFaultRows(std::size_t n, RowFn row, const FaultPlan &plan)
 } // namespace
 
 bool
-injectsNothing(const std::vector<trace::TimeSeries> &traces,
-               const FaultPlan &plan)
+passThroughInjection(const std::vector<trace::TimeSeries> &traces,
+                     const FaultPlan &plan)
 {
     if (!plan.empty())
         return false;
@@ -227,8 +227,8 @@ injectTraceFaults(std::vector<trace::TimeSeries> &traces,
 }
 
 bool
-tripsNothing(const std::vector<trace::TimeSeries> &traces,
-             const power::Assignment &assignment, const FaultPlan &plan)
+passThroughTrips(const std::vector<trace::TimeSeries> &traces,
+                 const power::Assignment &assignment, const FaultPlan &plan)
 {
     for (const auto &event : plan.powerEvents())
         if (event.kind == PowerEventKind::BreakerTrip)

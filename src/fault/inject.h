@@ -55,8 +55,7 @@ struct InjectedTraces {
 
 /**
  * Functional form of injectTraceFaults: take the population by value,
- * degrade it, and return (degraded traces, report) as one result.  The
- * pipeline's InjectFaultsOp runs this when injectsNothing() is false.
+ * degrade it, and return (degraded traces, report) as one result.
  */
 InjectedTraces
 injectedCopy(std::vector<trace::TimeSeries> traces, const FaultPlan &plan);
@@ -71,14 +70,14 @@ injectTraceFaults(std::vector<trace::TimeSeries> &traces,
                   const FaultPlan &plan);
 
 /**
- * Pass-through test for injectTraceFaults: true when the plan schedules
- * nothing, so injection would leave `traces` as they are and a caller
- * may share them instead of copying.  Validates the shape and counts
- * the (zero) damage exactly as injectTraceFaults would.  False, with no
- * side effect, when the plan schedules anything.
+ * Run injectTraceFaults as a pass-through when the plan schedules
+ * nothing: validate the shape, count the (zero) damage as it would, and
+ * return true — the caller then shares `traces` as they are and must
+ * not also call injectTraceFaults.  False, with no side effect, when
+ * the plan schedules anything.
  */
-bool injectsNothing(const std::vector<trace::TimeSeries> &traces,
-                    const FaultPlan &plan);
+bool passThroughInjection(const std::vector<trace::TimeSeries> &traces,
+                          const FaultPlan &plan);
 
 /**
  * Apply the plan's breaker-trip events: for each trip, the target rack
@@ -96,13 +95,14 @@ injectBreakerTrips(std::vector<trace::TimeSeries> &traces,
                    const FaultPlan &plan);
 
 /**
- * Pass-through test for injectBreakerTrips: true when the plan
- * schedules no breaker trip, after the same input validation and
- * (zero) counter updates.  False, with no side effect, otherwise.
+ * Run injectBreakerTrips as a pass-through when the plan schedules no
+ * breaker trip: the same input validation and (zero) counter updates,
+ * then true — the caller shares `traces` and must not also call
+ * injectBreakerTrips.  Returns false, with no side effect, otherwise.
  */
-bool tripsNothing(const std::vector<trace::TimeSeries> &traces,
-                  const power::Assignment &assignment,
-                  const FaultPlan &plan);
+bool passThroughTrips(const std::vector<trace::TimeSeries> &traces,
+                      const power::Assignment &assignment,
+                      const FaultPlan &plan);
 
 /**
  * Apply the plan's derating events to the budgets of one tree level:

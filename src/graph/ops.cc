@@ -189,7 +189,7 @@ InjectFaultsOp::add(graph::OpGraph &g, std::string name,
                 [](const std::vector<graph::Value> &ins) {
                     const auto &population = tracesOf(ins[0]);
                     const auto &plan = ins[1].as<fault::FaultPlan>();
-                    if (fault::injectsNothing(population, plan))
+                    if (fault::passThroughInjection(population, plan))
                         return passThrough(ins[0]);
                     return graph::Value::of(
                         fault::injectedCopy(population, plan));
@@ -203,7 +203,7 @@ RepairOp::add(graph::OpGraph &g, std::string name, graph::Handle traces,
     return g.op(std::move(name), {traces, policy}, 0,
                 [](const std::vector<graph::Value> &ins) {
                     const auto &population = tracesOf(ins[0]);
-                    if (trace::repairsNothing(population))
+                    if (trace::passThroughRepair(population))
                         return passThrough(ins[0]);
                     return graph::Value::of(trace::repairedCopy(
                         population, ins[1].as<trace::RepairPolicy>()));
@@ -360,8 +360,8 @@ RemapOp::add(graph::OpGraph &g, std::string name, graph::Handle assignment,
                                 .summary.validBefore;
             out.swaps =
                 core::Remapper(*tree, cfg)
-                    .refineInPlace(out.assignment, population, validity,
-                                   &ins[3].as<cluster::ShapeIndex>());
+                    .refine(out.assignment, population, validity,
+                            &ins[3].as<cluster::ShapeIndex>());
             const auto fp = fpRemapResult(out);
             return graph::Value::of(std::move(out), fp);
         });
@@ -380,7 +380,7 @@ BreakerTripsOp::add(graph::OpGraph &g, std::string name,
             const auto &population = tracesOf(ins[0]);
             const auto &assignment = assignmentOf(ins[1]);
             const auto &plan = ins[2].as<fault::FaultPlan>();
-            if (fault::tripsNothing(population, assignment, plan))
+            if (fault::passThroughTrips(population, assignment, plan))
                 return passThrough(ins[0]);
             fault::InjectedTraces out;
             out.traces = population;

@@ -88,8 +88,8 @@ const power::Assignment &assignmentOf(const graph::Value &v);
 
 /**
  * fault::injectedCopy(traces, plan) -> fault::InjectedTraces.  When the
- * plan schedules nothing (fault::injectsNothing), the op returns its
- * input population instead, shared and not copied.
+ * plan schedules nothing (fault::passThroughInjection), the op returns
+ * its input population instead, shared and not copied.
  */
 struct InjectFaultsOp {
     static graph::Handle add(graph::OpGraph &g, std::string name,
@@ -98,7 +98,7 @@ struct InjectFaultsOp {
 
 /**
  * trace::repairedCopy(traces, policy) -> trace::RepairedTraces.  When
- * every sample is finite (trace::repairsNothing), the op returns its
+ * every sample is finite (trace::passThroughRepair), the op returns its
  * input population instead, shared and not copied.
  */
 struct RepairOp {
@@ -167,7 +167,7 @@ struct ObliviousPlaceOp {
 };
 
 /**
- * Swap-based refinement (Remapper::refineInPlace) -> RemapResult.  When
+ * Swap-based refinement (Remapper::refine) -> RemapResult.  When
  * the traces input carries a trace::RepairedTraces, its per-instance
  * validity gates swap candidacy exactly as the CLI's faulted path does;
  * an all-valid population makes the gate a no-op, so the clean path is
@@ -185,7 +185,7 @@ struct RemapOp {
 
 /**
  * fault::injectBreakerTrips on a copy -> fault::InjectedTraces.  When
- * the plan schedules no breaker trip (fault::tripsNothing), the op
+ * the plan schedules no breaker trip (fault::passThroughTrips), the op
  * returns its input population instead, shared and not copied.
  */
 struct BreakerTripsOp {

@@ -115,8 +115,8 @@ Service::processEpoch(const EpochSnapshot &snapshot)
             snapshot.traces, config_.monitor.repairPolicy);
         const auto swaps =
             core::Remapper(tree_, config_.remap)
-                .refineInPlace(assignment_, repaired.traces,
-                               &repaired.summary.validBefore);
+                .refine(assignment_, repaired.traces,
+                        &repaired.summary.validBefore);
         r.swaps = swaps.size();
         if (!swaps.empty())
             monitor_.placementUpdated();

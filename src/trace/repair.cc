@@ -180,7 +180,7 @@ repairAll(std::vector<TimeSeries> &traces, RepairPolicy policy)
 }
 
 bool
-repairsNothing(const std::vector<TimeSeries> &traces)
+passThroughRepair(const std::vector<TimeSeries> &traces)
 {
     for (const auto &ts : traces)
         if (countValid(TraceView(ts)) != ts.size())

@@ -109,7 +109,6 @@ struct RepairedTraces {
 /**
  * Functional form of repairAll: take the population by value, repair
  * every series, and return (repaired traces, summary) as one result.
- * The pipeline's RepairOp runs this when repairsNothing() is false.
  */
 RepairedTraces repairedCopy(std::vector<TimeSeries> traces,
                             RepairPolicy policy);
@@ -124,14 +123,13 @@ RepairSummary repairAll(std::vector<TimeSeries> &traces,
                         RepairPolicy policy);
 
 /**
- * Pass-through test for repairAll: true when every sample is finite, so
- * repair under any policy would leave `traces` as they are and a caller
- * may share them instead of copying.  Counts the all-valid outcome
- * exactly as repairAll would (zero repairs, one valid-fraction
- * observation of 1.0 per trace).  False, with no side effect, when any
- * sample is missing.
+ * Run repairAll as a pass-through when every sample is finite: count
+ * the all-valid outcome exactly as repairAll would (zero repairs, one
+ * valid-fraction observation of 1.0 per trace) and return true — the
+ * caller then shares `traces` as they are and must not also call
+ * repairAll.  False, with no side effect, when any sample is missing.
  */
-bool repairsNothing(const std::vector<TimeSeries> &traces);
+bool passThroughRepair(const std::vector<TimeSeries> &traces);
 
 } // namespace sosim::trace
 

@@ -18,9 +18,10 @@
  * Both sides are timed in process CPU time (CLOCK_PROCESS_CPUTIME_ID):
  * on a shared host, wall time also counts the cycles neighbours steal,
  * which swung the best-of-5 wall ratio well past the budget in either
- * direction.  The pool runs one lane, so that CPU time is the work
- * itself: with several lanes it also grows with how well the host lets
- * them run side by side.  The wall ratio is printed beside it.
+ * direction.  The pool keeps its default width, so the recorder's
+ * multi-lane paths (scope propagation into worker chunks, per-thread
+ * shards and sequence blocks) are inside the measurement.  The wall
+ * ratio is printed beside it.
  *
  *   flight_overhead_check [--repeats N] [--max-ratio R]
  *
@@ -39,7 +40,6 @@
 #include "obs/events.h"
 #include "obs/obs.h"
 #include "trace/repair.h"
-#include "util/parallel.h"
 #include "workload/catalog.h"
 #include "workload/generator.h"
 
@@ -138,7 +138,6 @@ main(int argc, char **argv)
         }
     }
 
-    util::setThreadCount(1);
     auto &rec = obs::EventRecorder::instance();
     // Same ring size the CLI uses when a sink is requested, so the
     // measurement covers the exact configuration users run.
