@@ -36,6 +36,7 @@ std::vector<Point>
 seedPlusPlus(const std::vector<Point> &points, std::size_t k,
              util::Rng &rng)
 {
+    const std::size_t dim = points.front().size();
     std::vector<Point> centroids;
     centroids.reserve(k);
     centroids.push_back(
@@ -48,8 +49,9 @@ seedPlusPlus(const std::vector<Point> &points, std::size_t k,
         double total = 0.0;
         for (std::size_t i = 0; i < points.size(); ++i) {
             dist2[i] = std::min(dist2[i],
-                                squaredDistance(points[i],
-                                                centroids.back()));
+                                squaredDistance(points[i].data(),
+                                                centroids.back().data(),
+                                                dim));
             total += dist2[i];
         }
         if (total <= 0.0) {
@@ -214,12 +216,21 @@ clusterSizes(const std::vector<std::size_t> &assignment, std::size_t k)
 void
 equalizeClusterSizes(const std::vector<Point> &points, KMeansResult &result)
 {
+    SOSIM_SPAN("cluster.balance");
     const std::size_t n = points.size();
     const std::size_t k = result.centroids.size();
     SOSIM_REQUIRE(result.assignment.size() == n,
                   "equalizeClusterSizes: assignment size mismatch");
     if (k <= 1)
         return;
+    // One dimension check up front; the loops below use the raw form.
+    const std::size_t dim = result.centroids.front().size();
+    for (const auto &c : result.centroids)
+        SOSIM_REQUIRE(c.size() == dim,
+                      "equalizeClusterSizes: inconsistent dimensions");
+    for (const auto &p : points)
+        SOSIM_REQUIRE(p.size() == dim,
+                      "equalizeClusterSizes: inconsistent dimensions");
 
     auto sizes = clusterSizes(result.assignment, k);
     const std::size_t base = n / k;
@@ -227,38 +238,77 @@ equalizeClusterSizes(const std::vector<Point> &points, KMeansResult &result)
 
     auto target_of = [&](std::size_t c) { return base + (c < extra); };
 
-    // Greedily drain over-full clusters into under-full ones, moving the
-    // point whose reassignment costs the least extra inertia.
+    // Drain over-full clusters, in index order, into under-full ones,
+    // each step moving the point whose reassignment costs the least extra
+    // inertia (first minimum in (point, dst) order).  Centroids are frozen
+    // during the drain, so every cost is a constant, and sizes only move
+    // towards their targets: an under-full cluster never becomes over-full
+    // and an over-full one never receives.  So each cluster's candidate
+    // moves are costed once and sorted by (cost, point, dst); walking that
+    // list while skipping points already moved and destinations already
+    // full yields exactly the step-by-step minimum.  Pairs whose cost is
+    // NaN or >= DBL_MAX are dropped: a `cost < best` scan seeded with
+    // DBL_MAX can never pick them.
+    struct Move {
+        double cost;
+        std::size_t point;
+        std::size_t dst;
+    };
+    std::vector<Move> moves;
+    std::vector<std::size_t> open; // Under-full destinations.
+    [[maybe_unused]] std::uint64_t moved = 0;
     for (std::size_t c = 0; c < k; ++c) {
-        while (sizes[c] > target_of(c)) {
-            double best_cost = std::numeric_limits<double>::max();
-            std::size_t best_point = n, best_dst = k;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (result.assignment[i] != c)
-                    continue;
-                for (std::size_t dst = 0; dst < k; ++dst) {
-                    if (dst == c || sizes[dst] >= target_of(dst))
-                        continue;
-                    const double cost =
-                        squaredDistance(points[i], result.centroids[dst]) -
-                        squaredDistance(points[i], result.centroids[c]);
-                    if (cost < best_cost) {
-                        best_cost = cost;
-                        best_point = i;
-                        best_dst = dst;
-                    }
-                }
+        if (sizes[c] <= target_of(c))
+            continue;
+        open.clear();
+        for (std::size_t dst = 0; dst < k; ++dst)
+            if (dst != c && sizes[dst] < target_of(dst))
+                open.push_back(dst);
+
+        moves.clear();
+        const double *own = result.centroids[c].data();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (result.assignment[i] != c)
+                continue;
+            const double *p = points[i].data();
+            const double stay = squaredDistance(p, own, dim);
+            for (const auto dst : open) {
+                const double cost =
+                    squaredDistance(p, result.centroids[dst].data(), dim) -
+                    stay;
+                if (cost < std::numeric_limits<double>::max())
+                    moves.push_back(Move{cost, i, dst});
             }
-            SOSIM_ASSERT(best_point < n,
+        }
+        // `<` on the cost (not its bits), so -0.0 and 0.0 tie exactly as
+        // they do in a `cost < best` scan.
+        std::sort(moves.begin(), moves.end(),
+                  [](const Move &a, const Move &b) {
+                      if (a.cost != b.cost)
+                          return a.cost < b.cost;
+                      if (a.point != b.point)
+                          return a.point < b.point;
+                      return a.dst < b.dst;
+                  });
+
+        std::size_t next = 0;
+        while (sizes[c] > target_of(c)) {
+            while (next < moves.size() &&
+                   (result.assignment[moves[next].point] != c ||
+                    sizes[moves[next].dst] >= target_of(moves[next].dst)))
+                ++next;
+            SOSIM_ASSERT(next < moves.size(),
                          "equalizeClusterSizes: no destination found");
-            result.assignment[best_point] = best_dst;
+            const auto &m = moves[next++];
+            result.assignment[m.point] = m.dst;
             --sizes[c];
-            ++sizes[best_dst];
+            ++sizes[m.dst];
+            ++moved;
         }
     }
+    SOSIM_COUNT_ADD("cluster.balance.moves", moved);
 
     // Recompute centroids and inertia for the balanced assignment.
-    const std::size_t dim = points.front().size();
     std::vector<Point> sums(k, Point(dim, 0.0));
     std::vector<std::size_t> counts(k, 0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -276,8 +326,9 @@ equalizeClusterSizes(const std::vector<Point> &points, KMeansResult &result)
     }
     double inertia = 0.0;
     for (std::size_t i = 0; i < n; ++i)
-        inertia += squaredDistance(points[i],
-                                   result.centroids[result.assignment[i]]);
+        inertia += squaredDistance(
+            points[i].data(), result.centroids[result.assignment[i]].data(),
+            dim);
     result.inertia = inertia;
 }
 

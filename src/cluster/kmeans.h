@@ -73,7 +73,26 @@ KMeansResult kMeans(const std::vector<Point> &points,
  *
  * Points are greedily moved from over-full clusters to under-full ones,
  * choosing at each step the move that increases inertia the least.  Sizes
- * after the pass differ by at most one.
+ * after the pass differ by at most one: with n points and k clusters,
+ * the first n % k clusters end with n / k + 1 points, the rest with
+ * n / k.
+ *
+ * Contract (the result is a pure function of its inputs):
+ *  - Over-full clusters drain in index order, against the centroids as
+ *    given (they are frozen until the drain ends).
+ *  - A move's cost is d²(point, dst) − d²(point, own centroid).  Each
+ *    step takes the least cost; equal costs go to the lower point index,
+ *    then the lower destination index — the first minimum of a scan over
+ *    (point, dst) in index order.  Moves costing NaN or >= DBL_MAX are
+ *    never taken; if only such moves remain, util::LogicError is thrown.
+ *  - Cost: each over-full cluster c costs its |c|·(k−1) candidate moves
+ *    once and sorts them, so O(n·k + Σ|c|·k·log(|c|·k)) overall, not a
+ *    full rescan per move.
+ *  - Afterwards centroids are the members' means and inertia is
+ *    recomputed; a cluster left empty keeps its centroid.
+ *
+ * Throws util::FatalError when the assignment size or a point's
+ * dimension does not match.
  *
  * @param points Input points (same order as the clustering).
  * @param result Clustering to rebalance; assignment is updated in place

@@ -6,13 +6,22 @@
  */
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "baseline/oblivious.h"
 #include "core/asynchrony.h"
+#include "core/placement.h"
+#include "core/remap.h"
 #include "power/metrics.h"
+#include "power/power_tree.h"
 #include "trace/time_series.h"
+#include "workload/dc_presets.h"
+#include "workload/generator.h"
 
 namespace {
 
@@ -122,4 +131,115 @@ TEST_P(ScoreProperties, SlackDecomposesLinearly)
 INSTANTIATE_TEST_SUITE_P(Seeds, ScoreProperties,
                          ::testing::Range(100u, 112u));
 
+// ---------------------------------------------------------------------
+// Scale invariance of the planner.  Eq. 6-7 and the differential score
+// are ratios of peaks, and multiplying every sample by 2 or 0.5 is exact
+// in binary floating point (no overflow or subnormals at watt scale), so
+// every peak, sum and score scales exactly and every ratio is unchanged
+// bit for bit.  Placement and remap must therefore make the same
+// decisions on scaled traces; an absolute-watt threshold anywhere in
+// the planner would break this.
+
+struct PlannerOutcome {
+    power::Assignment placed;
+    power::Assignment remapped;
+    std::vector<core::SwapRecord> swaps;
+};
+
+PlannerOutcome
+planOutcome(const power::PowerTree &tree,
+            const std::vector<TimeSeries> &traces,
+            const std::vector<std::size_t> &service_of,
+            core::PlacementEmbedding embedding,
+            const core::RemapConfig &remap)
+{
+    core::PlacementConfig place;
+    place.embedding = embedding;
+    PlannerOutcome out;
+    out.placed = core::PlacementEngine(tree, place).place(traces, service_of);
+    // Remap from the oblivious placement: it is fragmented, so the swap
+    // scan has real swaps to find.
+    out.remapped = baseline::obliviousPlacement(tree, service_of);
+    out.swaps = core::Remapper(tree, remap).refine(out.remapped, traces);
+    return out;
+}
+
+void
+expectSameOutcome(const PlannerOutcome &got, const PlannerOutcome &want)
+{
+    EXPECT_EQ(got.placed, want.placed);
+    EXPECT_EQ(got.remapped, want.remapped);
+    ASSERT_EQ(got.swaps.size(), want.swaps.size());
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    for (std::size_t s = 0; s < want.swaps.size(); ++s) {
+        const auto &g = got.swaps[s];
+        const auto &w = want.swaps[s];
+        EXPECT_EQ(g.instanceA, w.instanceA) << "swap " << s;
+        EXPECT_EQ(g.instanceB, w.instanceB) << "swap " << s;
+        EXPECT_EQ(g.rackA, w.rackA) << "swap " << s;
+        EXPECT_EQ(g.rackB, w.rackB) << "swap " << s;
+        EXPECT_EQ(bits(g.scoreAtABefore), bits(w.scoreAtABefore));
+        EXPECT_EQ(bits(g.scoreAtAAfter), bits(w.scoreAtAAfter));
+        EXPECT_EQ(bits(g.scoreAtBBefore), bits(w.scoreAtBBefore));
+        EXPECT_EQ(bits(g.scoreAtBAfter), bits(w.scoreAtBAfter));
+    }
+}
+
+void
+expectScaleInvariantPlans(const workload::DatacenterSpec &spec,
+                          const core::RemapConfig &remap)
+{
+    const auto dc = workload::generate(spec);
+    const auto training = dc.trainingTraces();
+    std::vector<std::size_t> service_of(dc.instanceCount());
+    for (std::size_t i = 0; i < dc.instanceCount(); ++i)
+        service_of[i] = dc.serviceOf(i);
+    const power::PowerTree tree(spec.topology);
+
+    for (const auto embedding : {core::PlacementEmbedding::kScoreVector,
+                                 core::PlacementEmbedding::kShape}) {
+        const auto want =
+            planOutcome(tree, training, service_of, embedding, remap);
+        ASSERT_FALSE(want.swaps.empty())
+            << "no swaps accepted: the remap half would test nothing";
+        for (const double factor : {2.0, 0.5}) {
+            SCOPED_TRACE(spec.name + " factor " + std::to_string(factor) +
+                         (embedding == core::PlacementEmbedding::kShape
+                              ? " shape"
+                              : " score-vector"));
+            auto scaled = training;
+            for (auto &t : scaled)
+                t *= factor;
+            expectSameOutcome(planOutcome(tree, scaled, service_of,
+                                          embedding, remap),
+                              want);
+        }
+    }
+}
+
+TEST(ScaleInvariance, Dc3ShapedPlansIgnoreTraceScale)
+{
+    workload::PresetOptions options;
+    options.scale = 0.25; // 384 instances.
+    options.intervalMinutes = 30;
+    options.weeks = 2;
+    core::RemapConfig remap;
+    remap.maxSwaps = 16;
+    expectScaleInvariantPlans(workload::buildDc3Spec(options), remap);
+}
+
+TEST(ScaleInvariance, FleetPlansIgnoreTraceScale)
+{
+    workload::PresetOptions options;
+    options.intervalMinutes = 30;
+    options.weeks = 2;
+    core::RemapConfig remap;
+    remap.maxSwaps = 16;
+    remap.prune = core::PruneMode::kCluster;
+    remap.pruneKeepFraction = 0.25;
+    expectScaleInvariantPlans(workload::buildFleetSpec(1024, options),
+                              remap);
+}
+
 } // namespace
+

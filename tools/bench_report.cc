@@ -9,7 +9,12 @@
  *
  *   bench_report [--out BENCH_report.json] [--label some-tag]
  *                [--threads N] [--repeats R] [--json]
+ *                [--metrics NAME[,NAME...]]
  *                [--metrics-out FILE] [--fault-plan SEED[:PROFILE]]
+ *
+ * --metrics keeps only the named rows (e.g. placementFleet,
+ * placementFleetShape); a population sweep none of whose rows is named
+ * is skipped entirely, so a focused report costs only its own sweep.
  *
  * --json additionally prints the JSON document to stdout (the CI
  * bench-regression job pipes it into the build log).
@@ -31,7 +36,9 @@
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -101,6 +108,12 @@ bestMs(int repeats, Fn &&fn)
     }
     return best;
 }
+
+/** Every row name a report can carry (the --metrics vocabulary). */
+const std::string kRowNames[] = {
+    "scoreVectors",   "scoreVectorsBlocked",   "placementEndToEnd",
+    "remapRefine",    "remapRefineBlocked",    "graphPipeline",
+    "placementFleet", "remapRefineExhaustive", "placementFleetShape"};
 
 struct Measurement {
     std::string name;
@@ -187,6 +200,7 @@ main(int argc, char **argv)
     std::string fault_plan;
     std::string flight_record;
     std::string label = "dev";
+    std::vector<std::string> metrics; // Empty: every row.
     std::size_t pool_threads = util::threadCount();
     int repeats = 5;
     bool json_stdout = false;
@@ -204,7 +218,18 @@ main(int argc, char **argv)
             out = next("--out");
         else if (arg == "--metrics-out")
             metrics_out = next("--metrics-out");
-        else if (arg == "--label")
+        else if (arg == "--metrics") {
+            std::istringstream list(next("--metrics"));
+            for (std::string name; std::getline(list, name, ',');) {
+                if (std::find(std::begin(kRowNames), std::end(kRowNames),
+                              name) == std::end(kRowNames)) {
+                    std::cerr << "bench_report: unknown metric '" << name
+                              << "'\n";
+                    return 2;
+                }
+                metrics.push_back(name);
+            }
+        } else if (arg == "--label")
             label = next("--label");
         else if (arg == "--threads")
             pool_threads = std::stoul(next("--threads"));
@@ -219,6 +244,7 @@ main(int argc, char **argv)
         else {
             std::cerr << "usage: bench_report [--out FILE] [--label TAG] "
                          "[--threads N] [--repeats R] [--json] "
+                         "[--metrics NAME[,NAME...]] "
                          "[--metrics-out FILE] "
                          "[--fault-plan SEED[:PROFILE]] "
                          "[--flight-record FILE]\n";
@@ -230,8 +256,22 @@ main(int argc, char **argv)
         obs::EventRecorder::instance().setEnabled(true);
     }
 
+    const auto wanted = [&](std::initializer_list<std::string> names) {
+        if (metrics.empty())
+            return true;
+        for (const auto &name : names)
+            if (std::find(metrics.begin(), metrics.end(), name) !=
+                metrics.end())
+                return true;
+        return false;
+    };
+
     std::vector<Measurement> rows;
     for (const int per_service : {16, 64, 128}) {
+        if (!wanted({"scoreVectors", "scoreVectorsBlocked",
+                     "placementEndToEnd", "remapRefine",
+                     "remapRefineBlocked", "graphPipeline"}))
+            break;
         const auto dc = makeDc(per_service);
         auto traces = dc.trainingTraces();
         // Optional degraded-input mode: inject + repair before timing,
@@ -398,6 +438,8 @@ main(int argc, char **argv)
     // remapRefineExhaustive row times the same population with pruning
     // off, so the report carries its own ablation.
     for (const int fleet_pop : {1024, 4096}) {
+        if (!wanted({"remapRefine", "remapRefineExhaustive"}))
+            break;
         workload::PresetOptions fleet_opts;
         fleet_opts.intervalMinutes = 30;
         fleet_opts.weeks = 2;
@@ -463,6 +505,8 @@ main(int argc, char **argv)
     // embedding-cost ablation.  10240 exercises the sixteen-service
     // fleet spec.
     for (const int fleet_pop : {1024, 4096, 10240}) {
+        if (!wanted({"placementFleet", "placementFleetShape"}))
+            break;
         workload::PresetOptions fleet_opts;
         fleet_opts.intervalMinutes = 30;
         fleet_opts.weeks = 2;
@@ -516,6 +560,9 @@ main(int argc, char **argv)
         rows.push_back(ps);
     }
     util::setThreadCount(0);
+    std::erase_if(rows, [&](const Measurement &m) {
+        return !wanted({m.name});
+    });
 
     std::ofstream file(out);
     if (!file) {
