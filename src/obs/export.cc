@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <iomanip>
@@ -13,49 +11,11 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json.h"
+
 namespace sosim::obs {
 
 namespace {
-
-/** JSON string escaping for metric/span names: quotes, backslashes,
- *  and control characters (a raw newline or tab in a name would break
- *  the emitted document). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
 
 /** Prometheus label-value escaping per the text exposition format:
  *  backslash, double quote, and newline must be escaped inside the
@@ -83,22 +43,13 @@ promLabelEscape(const std::string &s)
     return out;
 }
 
-/** Finite doubles as-is; NaN/Inf as null (JSON has no literals for them). */
-void
-jsonNumber(std::ostream &os, double v)
-{
-    if (std::isfinite(v))
-        os << v;
-    else
-        os << "null";
-}
-
 void
 jsonSpanNode(std::ostream &os, const SpanNode &node, int indent)
 {
     const std::string pad(static_cast<std::size_t>(indent), ' ');
-    os << pad << "{\"name\": \"" << jsonEscape(node.name) << "\", "
-       << "\"invocations\": "
+    os << pad << "{\"name\": ";
+    json::writeString(os, node.name);
+    os << ", \"invocations\": "
        << node.invocations.load(std::memory_order_relaxed) << ", "
        << "\"total_ns\": "
        << node.totalNanos.load(std::memory_order_relaxed);
@@ -225,14 +176,18 @@ writeMetricsJson(std::ostream &os, const MetricsSnapshot &snapshot,
                  const std::string &timestamp)
 {
     os << "{\n";
-    os << "  \"label\": \"" << jsonEscape(label) << "\",\n";
-    os << "  \"timestamp_utc\": \"" << jsonEscape(timestamp) << "\",\n";
+    os << "  \"label\": ";
+    json::writeString(os, label);
+    os << ",\n  \"timestamp_utc\": ";
+    json::writeString(os, timestamp);
+    os << ",\n";
 
     os << "  \"counters\": {";
     std::size_t i = 0;
     for (const auto &c : snapshot.counters) {
         os << (i++ ? ",\n    " : "\n    ");
-        os << "\"" << jsonEscape(c.name) << "\": " << c.value;
+        json::writeString(os, c.name);
+        os << ": " << c.value;
     }
     os << (i ? "\n  },\n" : "},\n");
 
@@ -240,8 +195,9 @@ writeMetricsJson(std::ostream &os, const MetricsSnapshot &snapshot,
     i = 0;
     for (const auto &g : snapshot.gauges) {
         os << (i++ ? ",\n    " : "\n    ");
-        os << "\"" << jsonEscape(g.name) << "\": ";
-        jsonNumber(os, g.value);
+        json::writeString(os, g.name);
+        os << ": ";
+        json::writeNumber(os, g.value);
     }
     os << (i ? "\n  },\n" : "},\n");
 
@@ -250,16 +206,17 @@ writeMetricsJson(std::ostream &os, const MetricsSnapshot &snapshot,
     const auto &bounds = histogramBounds();
     for (const auto &h : snapshot.histograms) {
         os << (i++ ? ",\n    " : "\n    ");
-        os << "\"" << jsonEscape(h.name) << "\": {\"count\": "
-           << h.data.count << ", \"sum\": ";
-        jsonNumber(os, h.data.sum);
+        json::writeString(os, h.name);
+        os << ": {\"count\": " << h.data.count << ", \"sum\": ";
+        json::writeNumber(os, h.data.sum);
         os << ", \"buckets\": [";
         std::size_t emitted = 0;
         for (std::size_t b = 0; b < bounds.size(); ++b) {
             if (h.data.bucketCounts[b] == 0)
                 continue;
-            os << (emitted++ ? ", " : "") << "{\"le\": " << bounds[b]
-               << ", \"count\": " << h.data.bucketCounts[b] << "}";
+            os << (emitted++ ? ", " : "") << "{\"le\": ";
+            json::writeNumber(os, bounds[b]);
+            os << ", \"count\": " << h.data.bucketCounts[b] << "}";
         }
         os << "], \"overflow\": " << h.data.bucketCounts[bounds.size()]
            << "}";
@@ -290,7 +247,7 @@ writeMetricsPrometheus(std::ostream &os, const MetricsSnapshot &snapshot,
     for (const auto &g : snapshot.gauges) {
         const std::string name = promName(g.name);
         os << "# TYPE " << name << " gauge\n";
-        os << name << " " << g.value << "\n";
+        os << name << " " << json::shortestDouble(g.value) << "\n";
     }
     const auto &bounds = histogramBounds();
     for (const auto &h : snapshot.histograms) {
@@ -301,11 +258,11 @@ writeMetricsPrometheus(std::ostream &os, const MetricsSnapshot &snapshot,
             if (h.data.bucketCounts[b] == 0)
                 continue;
             cumulative += h.data.bucketCounts[b];
-            os << name << "_bucket{le=\"" << bounds[b] << "\"} "
-               << cumulative << "\n";
+            os << name << "_bucket{le=\"" << json::shortestDouble(bounds[b])
+               << "\"} " << cumulative << "\n";
         }
         os << name << "_bucket{le=\"+Inf\"} " << h.data.count << "\n";
-        os << name << "_sum " << h.data.sum << "\n";
+        os << name << "_sum " << json::shortestDouble(h.data.sum) << "\n";
         os << name << "_count " << h.data.count << "\n";
     }
     if (!span_root.children.empty()) {
@@ -321,9 +278,10 @@ writeMetricsPrometheus(std::ostream &os, const MetricsSnapshot &snapshot,
         for (const auto &[path, node] : spans)
             os << "sosim_span_busy_seconds_total{span=\""
                << promLabelEscape(path) << "\"} "
-               << static_cast<double>(
-                      node->totalNanos.load(std::memory_order_relaxed)) /
-                      1e9
+               << json::shortestDouble(
+                      static_cast<double>(node->totalNanos.load(
+                          std::memory_order_relaxed)) /
+                      1e9)
                << "\n";
     }
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 namespace sosim::obs {
 
@@ -11,11 +12,13 @@ histogramBounds()
     static const std::vector<double> bounds = [] {
         std::vector<double> b;
         b.reserve(Histogram::kBuckets - 1);
+        // Dividing by the exact 10^-e for negative e makes every bound
+        // the double nearest its decimal (5.0 * pow(10, -6) is one ulp
+        // below 5e-6), so exported `le` values print as written.
         for (int e = -9; e <= 8; ++e) {
-            const double decade = std::pow(10.0, e);
-            b.push_back(1.0 * decade);
-            b.push_back(2.0 * decade);
-            b.push_back(5.0 * decade);
+            const double scale = std::pow(10.0, std::abs(e));
+            for (const double m : {1.0, 2.0, 5.0})
+                b.push_back(e < 0 ? m / scale : m * scale);
         }
         return b;
     }();

@@ -1,72 +1,20 @@
 #include "trace_export.h"
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iomanip>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <set>
 #include <sstream>
 
 #include "obs/export.h"
+#include "obs/json.h"
 #include "obs/span.h"
 
 namespace sosim::obs {
 
 namespace {
-
-/** JSON string escaping (quotes, backslashes, control characters). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
-
-/** Finite doubles in shortest-ish form; NaN/Inf as null. */
-void
-writeDouble(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.12g", v);
-    os << buf;
-}
 
 /** Nanoseconds as microseconds with exactly three decimals (exact —
  *  Chrome trace "ts"/"dur" are microseconds, and integer-splitting
@@ -181,11 +129,11 @@ argsInner(const Event &e)
     };
     auto dbl = [&](const char *k, double v) {
         key(k);
-        writeDouble(os, v);
+        json::writeNumber(os, v);
     };
     auto str = [&](const char *k, const std::string &v) {
         key(k);
-        os << '"' << jsonEscape(v) << '"';
+        json::writeString(os, v);
     };
     const EventRecorder &rec = EventRecorder::instance();
     switch (e.kind) {
@@ -380,9 +328,11 @@ writeEventJournal(std::ostream &os, const std::vector<Event> &events,
     EventRecorder &rec = EventRecorder::instance();
     const std::string stamp =
         rec.wallEpoch().empty() ? utcTimestamp() : rec.wallEpoch();
-    os << "{\"label\": \"" << jsonEscape(label)
-       << "\", \"timestamp_utc\": \"" << jsonEscape(stamp)
-       << "\", \"dropped\": " << rec.dropped()
+    os << "{\"label\": ";
+    json::writeString(os, label);
+    os << ", \"timestamp_utc\": ";
+    json::writeString(os, stamp);
+    os << ", \"dropped\": " << rec.dropped()
        << ", \"recorded\": " << rec.recorded()
        << ", \"events\": " << events.size() << "}\n";
     for (const Event &e : events) {
@@ -440,9 +390,9 @@ writeChromeTrace(std::ostream &os, const std::vector<Event> &events,
             writeMicros(os, e.steadyNanos);
             os << ", \"dur\": ";
             writeMicros(os, e.b);
-            os << ", \"name\": \""
-               << jsonEscape(node != nullptr ? node->name : "?")
-               << "\", \"cat\": \"span\"";
+            os << ", \"name\": ";
+            json::writeString(os, node != nullptr ? node->name : "?");
+            os << ", \"cat\": \"span\"";
         } else {
             os << "{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": "
                << e.thread << ", \"ts\": ";
@@ -457,9 +407,11 @@ writeChromeTrace(std::ostream &os, const std::vector<Event> &events,
         os << "}}";
     }
     os << "\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": "
-          "{\"label\": \""
-       << jsonEscape(label) << "\", \"timestamp_utc\": \""
-       << jsonEscape(stamp) << "\"}\n}\n";
+          "{\"label\": ";
+    json::writeString(os, label);
+    os << ", \"timestamp_utc\": ";
+    json::writeString(os, stamp);
+    os << "}\n}\n";
 }
 
 void
@@ -470,459 +422,47 @@ writeChromeTrace(std::ostream &os, const std::string &label)
 
 namespace {
 
-/** Recursive-descent JSON syntax checker (validateJson's engine). */
-class JsonChecker
+/**
+ * Fill `ev` from one parsed journal line.  Returns nullptr on success,
+ * else why the line is not a journal row.  The header object has no
+ * "kind" and leaves `ev.kind` empty.
+ */
+const char *
+journalEvent(const json::Value &line, JournalEvent &ev)
 {
-  public:
-    explicit JsonChecker(std::string_view text) : s_(text) {}
-
-    bool
-    run(std::string *error)
-    {
-        ws();
-        if (!value(0))
-            return report(error);
-        ws();
-        if (i_ != s_.size()) {
-            fail("trailing data after document");
-            return report(error);
-        }
-        return true;
-    }
-
-  private:
-    static constexpr int kMaxDepth = 128;
-
-    bool
-    report(std::string *error) const
-    {
-        if (error != nullptr) {
-            std::ostringstream os;
-            os << "at byte " << i_ << ": " << message_;
-            *error = os.str();
-        }
-        return false;
-    }
-
-    void
-    fail(const char *msg)
-    {
-        if (message_ == nullptr)
-            message_ = msg;
-    }
-
-    void
-    ws()
-    {
-        while (i_ < s_.size() &&
-               (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\n' ||
-                s_[i_] == '\r'))
-            ++i_;
-    }
-
-    bool
-    eat(char c)
-    {
-        if (i_ < s_.size() && s_[i_] == c) {
-            ++i_;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    literal(std::string_view lit)
-    {
-        if (s_.substr(i_, lit.size()) != lit) {
-            fail("bad literal");
-            return false;
-        }
-        i_ += lit.size();
-        return true;
-    }
-
-    bool
-    string()
-    {
-        if (!eat('"')) {
-            fail("expected string");
-            return false;
-        }
-        while (i_ < s_.size()) {
-            const char c = s_[i_++];
-            if (c == '"')
-                return true;
-            if (static_cast<unsigned char>(c) < 0x20) {
-                fail("raw control character in string");
-                return false;
-            }
-            if (c == '\\') {
-                if (i_ >= s_.size()) {
-                    fail("truncated escape");
-                    return false;
-                }
-                const char esc = s_[i_++];
-                if (esc == 'u') {
-                    for (int k = 0; k < 4; ++k) {
-                        if (i_ >= s_.size() ||
-                            std::isxdigit(static_cast<unsigned char>(
-                                s_[i_])) == 0) {
-                            fail("bad \\u escape");
-                            return false;
-                        }
-                        ++i_;
-                    }
-                } else if (esc != '"' && esc != '\\' && esc != '/' &&
-                           esc != 'b' && esc != 'f' && esc != 'n' &&
-                           esc != 'r' && esc != 't') {
-                    fail("bad escape character");
-                    return false;
-                }
-            }
-        }
-        fail("unterminated string");
-        return false;
-    }
-
-    bool
-    number()
-    {
-        const std::size_t begin = i_;
-        eat('-');
-        if (eat('0')) {
-            // No leading zeros.
-        } else {
-            if (!digits()) {
-                fail("expected number");
-                return false;
-            }
-        }
-        if (eat('.')) {
-            if (!digits()) {
-                fail("digits required after decimal point");
-                return false;
-            }
-        }
-        if (i_ < s_.size() && (s_[i_] == 'e' || s_[i_] == 'E')) {
-            ++i_;
-            if (i_ < s_.size() && (s_[i_] == '+' || s_[i_] == '-'))
-                ++i_;
-            if (!digits()) {
-                fail("digits required in exponent");
-                return false;
-            }
-        }
-        return i_ > begin;
-    }
-
-    bool
-    digits()
-    {
-        const std::size_t begin = i_;
-        while (i_ < s_.size() &&
-               std::isdigit(static_cast<unsigned char>(s_[i_])) != 0)
-            ++i_;
-        return i_ > begin;
-    }
-
-    bool
-    value(int depth)
-    {
-        if (depth > kMaxDepth) {
-            fail("nesting too deep");
-            return false;
-        }
-        if (i_ >= s_.size()) {
-            fail("unexpected end of input");
-            return false;
-        }
-        switch (s_[i_]) {
-          case '{':
-            return object(depth);
-          case '[':
-            return array(depth);
-          case '"':
-            return string();
-          case 't':
-            return literal("true");
-          case 'f':
-            return literal("false");
-          case 'n':
-            return literal("null");
-          default:
-            return number();
+    if (line.kind != json::Value::Kind::Object)
+        return "not a JSON object";
+    const json::Value *kind = line.find("kind");
+    if (kind == nullptr)
+        return nullptr;
+    if (kind->kind != json::Value::Kind::String || kind->text.empty())
+        return "\"kind\" is not a non-empty string";
+    ev.kind = kind->text;
+    const auto field = [&line](const char *name) {
+        const json::Value *v = line.find(name);
+        return v != nullptr ? v->asUnsigned() : std::nullopt;
+    };
+    const auto seq = field("seq");
+    const auto parent = field("parent");
+    const auto thread = field("thread");
+    const auto t_ns = field("t_ns");
+    if (!seq || !parent || !thread || !t_ns ||
+        *thread > std::numeric_limits<unsigned>::max())
+        return "seq, parent, thread and t_ns must be unsigned integers";
+    ev.seq = *seq;
+    ev.parent = *parent;
+    ev.thread = static_cast<unsigned>(*thread);
+    ev.tNanos = *t_ns;
+    if (const json::Value *args = line.find("args")) {
+        if (args->kind != json::Value::Kind::Object)
+            return "\"args\" is not an object";
+        for (const json::Member &m : args->members) {
+            if (!m.value.isScalar())
+                return "an \"args\" value is not a scalar";
+            ev.args.emplace(m.name, m.value.text);
         }
     }
-
-    bool
-    object(int depth)
-    {
-        eat('{');
-        ws();
-        if (eat('}'))
-            return true;
-        while (true) {
-            ws();
-            if (!string())
-                return false;
-            ws();
-            if (!eat(':')) {
-                fail("expected ':' in object");
-                return false;
-            }
-            ws();
-            if (!value(depth + 1))
-                return false;
-            ws();
-            if (eat(','))
-                continue;
-            if (eat('}'))
-                return true;
-            fail("expected ',' or '}' in object");
-            return false;
-        }
-    }
-
-    bool
-    array(int depth)
-    {
-        eat('[');
-        ws();
-        if (eat(']'))
-            return true;
-        while (true) {
-            ws();
-            if (!value(depth + 1))
-                return false;
-            ws();
-            if (eat(','))
-                continue;
-            if (eat(']'))
-                return true;
-            fail("expected ',' or ']' in array");
-            return false;
-        }
-    }
-
-    std::string_view s_;
-    std::size_t i_ = 0;
-    const char *message_ = nullptr;
-};
-
-} // namespace
-
-bool
-validateJson(std::string_view text, std::string *error)
-{
-    return JsonChecker(text).run(error);
-}
-
-namespace {
-
-/** Cursor over one journal line for the restricted JSONL reader. */
-struct Cursor {
-    std::string_view s;
-    std::size_t i = 0;
-
-    void
-    ws()
-    {
-        while (i < s.size() && (s[i] == ' ' || s[i] == '\t'))
-            ++i;
-    }
-
-    bool
-    eat(char c)
-    {
-        if (i < s.size() && s[i] == c) {
-            ++i;
-            return true;
-        }
-        return false;
-    }
-};
-
-bool
-parseJsonString(Cursor &c, std::string &out)
-{
-    out.clear();
-    if (!c.eat('"'))
-        return false;
-    while (c.i < c.s.size()) {
-        const char ch = c.s[c.i++];
-        if (ch == '"')
-            return true;
-        if (ch != '\\') {
-            out.push_back(ch);
-            continue;
-        }
-        if (c.i >= c.s.size())
-            return false;
-        const char esc = c.s[c.i++];
-        switch (esc) {
-          case '"':
-          case '\\':
-          case '/':
-            out.push_back(esc);
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'b':
-            out.push_back('\b');
-            break;
-          case 'f':
-            out.push_back('\f');
-            break;
-          case 'u': {
-            if (c.i + 4 > c.s.size())
-                return false;
-            unsigned cp = 0;
-            for (int k = 0; k < 4; ++k) {
-                const char h = c.s[c.i++];
-                cp <<= 4U;
-                if (h >= '0' && h <= '9')
-                    cp |= static_cast<unsigned>(h - '0');
-                else if (h >= 'a' && h <= 'f')
-                    cp |= static_cast<unsigned>(h - 'a' + 10);
-                else if (h >= 'A' && h <= 'F')
-                    cp |= static_cast<unsigned>(h - 'A' + 10);
-                else
-                    return false;
-            }
-            if (cp < 0x80) {
-                out.push_back(static_cast<char>(cp));
-            } else if (cp < 0x800) {
-                out.push_back(static_cast<char>(0xC0U | (cp >> 6U)));
-                out.push_back(static_cast<char>(0x80U | (cp & 0x3FU)));
-            } else {
-                out.push_back(static_cast<char>(0xE0U | (cp >> 12U)));
-                out.push_back(
-                    static_cast<char>(0x80U | ((cp >> 6U) & 0x3FU)));
-                out.push_back(static_cast<char>(0x80U | (cp & 0x3FU)));
-            }
-            break;
-          }
-          default:
-            return false;
-        }
-    }
-    return false;
-}
-
-/** Numbers / true / false / null, captured as raw token text. */
-bool
-parseScalarToken(Cursor &c, std::string &out)
-{
-    const std::size_t begin = c.i;
-    while (c.i < c.s.size()) {
-        const char ch = c.s[c.i];
-        if (ch == ',' || ch == '}' || ch == ']' || ch == ' ' ||
-            ch == '\t')
-            break;
-        ++c.i;
-    }
-    out = std::string(c.s.substr(begin, c.i - begin));
-    return !out.empty();
-}
-
-/** A flat object of string/scalar values (the "args" member). */
-bool
-parseFlatObject(Cursor &c, std::map<std::string, std::string> &out)
-{
-    if (!c.eat('{'))
-        return false;
-    c.ws();
-    if (c.eat('}'))
-        return true;
-    while (true) {
-        c.ws();
-        std::string k;
-        std::string v;
-        if (!parseJsonString(c, k))
-            return false;
-        c.ws();
-        if (!c.eat(':'))
-            return false;
-        c.ws();
-        if (c.i < c.s.size() && c.s[c.i] == '"') {
-            if (!parseJsonString(c, v))
-                return false;
-        } else if (!parseScalarToken(c, v)) {
-            return false;
-        }
-        out.emplace(std::move(k), std::move(v));
-        c.ws();
-        if (c.eat(','))
-            continue;
-        if (c.eat('}'))
-            return true;
-        return false;
-    }
-}
-
-std::uint64_t
-toU64(const std::string &s)
-{
-    return std::strtoull(s.c_str(), nullptr, 0);
-}
-
-/** One journal line; `has_kind` is false for the header object. */
-bool
-parseJournalLine(std::string_view line, JournalEvent &ev, bool &has_kind)
-{
-    Cursor c{line, 0};
-    has_kind = false;
-    c.ws();
-    if (!c.eat('{'))
-        return false;
-    c.ws();
-    if (c.eat('}'))
-        return true;
-    while (true) {
-        c.ws();
-        std::string k;
-        if (!parseJsonString(c, k))
-            return false;
-        c.ws();
-        if (!c.eat(':'))
-            return false;
-        c.ws();
-        std::string v;
-        if (k == "args") {
-            if (!parseFlatObject(c, ev.args))
-                return false;
-        } else if (c.i < c.s.size() && c.s[c.i] == '"') {
-            if (!parseJsonString(c, v))
-                return false;
-        } else if (!parseScalarToken(c, v)) {
-            return false;
-        }
-        if (k == "seq")
-            ev.seq = toU64(v);
-        else if (k == "parent")
-            ev.parent = toU64(v);
-        else if (k == "thread")
-            ev.thread = static_cast<unsigned>(toU64(v));
-        else if (k == "t_ns")
-            ev.tNanos = toU64(v);
-        else if (k == "kind") {
-            ev.kind = v;
-            has_kind = true;
-        }
-        c.ws();
-        if (c.eat(','))
-            continue;
-        if (c.eat('}'))
-            return true;
-        return false;
-    }
+    return nullptr;
 }
 
 } // namespace
@@ -937,18 +477,22 @@ readEventJournal(std::istream &is, std::vector<JournalEvent> &out,
         ++lineno;
         if (line.empty())
             continue;
+        json::Value doc;
         JournalEvent ev;
-        bool has_kind = false;
-        if (!parseJournalLine(line, ev, has_kind)) {
-            if (error != nullptr) {
-                std::ostringstream os;
-                os << "malformed journal line " << lineno;
-                *error = os.str();
+        std::string why;
+        if (json::parse(line, doc, &why)) {
+            const char *bad = journalEvent(doc, ev);
+            if (bad == nullptr) {
+                if (!ev.kind.empty())
+                    out.push_back(std::move(ev));
+                continue;
             }
-            return false;
+            why = bad;
         }
-        if (has_kind)
-            out.push_back(std::move(ev));
+        if (error != nullptr)
+            *error = "malformed journal line " + std::to_string(lineno) +
+                     ": " + why;
+        return false;
     }
     return true;
 }
@@ -966,7 +510,7 @@ bool
 argEquals(const JournalEvent &e, const char *k, std::uint64_t v)
 {
     const auto it = e.args.find(k);
-    return it != e.args.end() && toU64(it->second) == v;
+    return it != e.args.end() && json::parseUnsigned(it->second) == v;
 }
 
 bool

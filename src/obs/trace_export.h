@@ -21,9 +21,6 @@
  *     reconstruct the causal decision history of one instance (or one
  *     graph node signature) — the `sosim explain` backend.
  *
- *   - validateJson: a strict syntax check used by tests and the CLI to
- *     assert emitted documents actually parse.
- *
  * Span events store a live SpanNode pointer, so the two writers resolve
  * span paths in-process at write time; the journal/trace files are
  * self-contained afterwards.
@@ -34,7 +31,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/events.h"
@@ -58,13 +54,6 @@ void writeChromeTrace(std::ostream &os, const std::vector<Event> &events,
 /** Convenience overload draining (without clearing) the recorder. */
 void writeChromeTrace(std::ostream &os, const std::string &label);
 
-/**
- * Strict JSON syntax validation (objects, arrays, strings, numbers,
- * true/false/null; no trailing text).  On failure returns false and,
- * when `error` is non-null, stores a byte offset + reason message.
- */
-bool validateJson(std::string_view text, std::string *error = nullptr);
-
 /** One journal row parsed back from JSONL (args hold raw scalar text,
  *  i.e. numbers unquoted and strings without their quotes). */
 struct JournalEvent {
@@ -77,9 +66,12 @@ struct JournalEvent {
 };
 
 /**
- * Parse a journal written by writeEventJournal.  Lines without a "kind"
- * key (the header) are skipped.  Returns false on malformed input with
- * a line-numbered message in `error` when non-null.
+ * Parse a journal written by writeEventJournal.  Every non-empty line
+ * must be a JSON object (obs/json.h).  Lines without a "kind" key (the
+ * header) are skipped; every other line needs seq/parent/thread/t_ns as
+ * unsigned decimal integers within range and, if present, a flat "args"
+ * object of scalars.  Returns false on the first line that breaks
+ * this, with a line-numbered message in `error` when non-null.
  */
 bool readEventJournal(std::istream &is, std::vector<JournalEvent> &out,
                       std::string *error = nullptr);

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "graph/ops.h"
 #include "obs/events.h"
 #include "obs/export.h"
+#include "obs/json.h"
 #include "obs/obs.h"
 #include "obs/trace_export.h"
 #include "util/parallel.h"
@@ -37,6 +39,14 @@ class ScopedThreads
     explicit ScopedThreads(std::size_t n) { util::setThreadCount(n); }
     ~ScopedThreads() { util::setThreadCount(0); }
 };
+
+/** True when `text` is one strict JSON document (obs/json.h). */
+bool
+parsesAsJson(std::string_view text, std::string *error)
+{
+    obs::json::Value doc;
+    return obs::json::parse(text, doc, error);
+}
 
 /** Leave the global recorder exactly as a fresh process would have it. */
 class RecorderGuard
@@ -282,7 +292,7 @@ TEST(ChromeTrace, SpanSlicesAgreeWithTheSpanTree)
     std::ostringstream trace;
     obs::writeChromeTrace(trace, events, "unit");
     std::string error;
-    EXPECT_TRUE(obs::validateJson(trace.str(), &error)) << error;
+    EXPECT_TRUE(parsesAsJson(trace.str(), &error)) << error;
     EXPECT_NE(trace.str().find("test.flight_span"), std::string::npos);
     EXPECT_NE(trace.str().find("\"ph\": \"X\""), std::string::npos);
     tracer.reset();
@@ -314,7 +324,7 @@ TEST(Journal, WriteReadRoundTrip)
     std::size_t count = 0;
     while (std::getline(lines, line)) {
         std::string error;
-        EXPECT_TRUE(obs::validateJson(line, &error))
+        EXPECT_TRUE(parsesAsJson(line, &error))
             << error << " in: " << line;
         ++count;
     }
@@ -347,6 +357,50 @@ TEST(Journal, RejectsMalformedLines)
     std::string error;
     EXPECT_FALSE(obs::readEventJournal(in, parsed, &error));
     EXPECT_NE(error.find("line 1"), std::string::npos);
+
+    // Each line follows a valid header, so the error must name line 2.
+    const std::string header =
+        R"({"label": "unit", "timestamp_utc": "x", "events": 1})";
+    for (const char *bad : {
+             // Not JSON: bare words and hex are not values.
+             R"({"seq": abc, "parent": -1, "thread": 0x10, "t_ns": 1, "kind": "swap_accept", "args": {"inst_a": 3, "inst_b": zz}})",
+             R"({"seq": 1, "parent": 0, "thread": 0, "t_ns": 1, "kind": "swap_accept", "args": {"inst_b": zz}})",
+             R"({"seq": 1, "parent": 0, "thread": 0x10, "t_ns": 1, "kind": "span"})",
+             // JSON, but the ids are not unsigned decimal u64 values.
+             R"({"seq": 1, "parent": -1, "thread": 0, "t_ns": 1, "kind": "span"})",
+             R"({"seq": 1, "parent": 0, "thread": 0, "t_ns": 1e3, "kind": "span"})",
+             R"({"seq": 1.0, "parent": 0, "thread": 0, "t_ns": 1, "kind": "span"})",
+             R"({"seq": 18446744073709551616, "parent": 0, "thread": 0, "t_ns": 1, "kind": "span"})",
+             R"({"seq": 1, "parent": 0, "thread": 4294967296, "t_ns": 1, "kind": "span"})",
+             R"({"seq": "1", "parent": 0, "thread": 0, "t_ns": 1, "kind": "span"})",
+             R"({"parent": 0, "thread": 0, "t_ns": 1, "kind": "span"})",
+             // Args values must be scalars, in an object.
+             R"({"seq": 1, "parent": 0, "thread": 0, "t_ns": 1, "kind": "span", "args": {"inst_a": [3]}})",
+             R"({"seq": 1, "parent": 0, "thread": 0, "t_ns": 1, "kind": "span", "args": {"inst_a": {"x": 3}}})",
+             R"({"seq": 1, "parent": 0, "thread": 0, "t_ns": 1, "kind": "span", "args": [3]})",
+             // Not an object, or no usable kind.
+             R"([1, 2])",
+             R"({"seq": 1, "parent": 0, "thread": 0, "t_ns": 1, "kind": 7})",
+         }) {
+        std::istringstream lines(header + "\n" + bad + "\n");
+        std::vector<obs::JournalEvent> events;
+        std::string why;
+        EXPECT_FALSE(obs::readEventJournal(lines, events, &why)) << bad;
+        EXPECT_NE(why.find("line 2"), std::string::npos) << bad << ": " << why;
+    }
+
+    // The largest ids still fit.
+    std::istringstream edge(
+        header + "\n" +
+        R"({"seq": 18446744073709551615, "parent": 0, "thread": 4294967295, "t_ns": 0, "kind": "span", "args": {"ok": true, "n": null}})" +
+        "\n");
+    std::vector<obs::JournalEvent> events;
+    ASSERT_TRUE(obs::readEventJournal(edge, events, &error)) << error;
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].seq, 18446744073709551615u);
+    EXPECT_EQ(events[0].thread, 4294967295u);
+    EXPECT_EQ(events[0].args.at("ok"), "true");
+    EXPECT_EQ(events[0].args.at("n"), "null");
 }
 
 TEST(ValidateJson, AcceptsStrictDocuments)
@@ -359,7 +413,7 @@ TEST(ValidateJson, AcceptsStrictDocuments)
              R"(0.125)",
          }) {
         std::string error;
-        EXPECT_TRUE(obs::validateJson(good, &error))
+        EXPECT_TRUE(parsesAsJson(good, &error))
             << good << ": " << error;
     }
 }
@@ -378,7 +432,7 @@ TEST(ValidateJson, RejectsMalformedDocuments)
              R"([1, 2,])",
          }) {
         std::string error;
-        EXPECT_FALSE(obs::validateJson(bad, &error)) << bad;
+        EXPECT_FALSE(parsesAsJson(bad, &error)) << bad;
         EXPECT_FALSE(error.empty()) << bad;
     }
 }

@@ -11,10 +11,12 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <iomanip>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -25,6 +27,7 @@
 #include "baseline/oblivious.h"
 #include "core/monitor.h"
 #include "obs/export.h"
+#include "obs/json.h"
 #include "obs/obs.h"
 #include "obs/trace_export.h"
 #include "power/power_tree.h"
@@ -421,8 +424,88 @@ TEST(Export, JsonRendersNonFiniteValuesAsNull)
     EXPECT_NE(text.find("\"test.inf_gauge\": null"), std::string::npos);
     EXPECT_NE(text.find("\"sum\": null"), std::string::npos);
     // A bare nan/inf token would make the document unparseable.
+    obs::json::Value doc;
     std::string error;
-    EXPECT_TRUE(obs::validateJson(text, &error)) << error;
+    EXPECT_TRUE(obs::json::parse(text, doc, &error)) << error;
+}
+
+TEST(Export, NumbersRoundTripBitExact)
+{
+    // A value whose shortest form needs 17 significant digits.
+    constexpr double kValue = 13.686916834228832;
+    obs::MetricsSnapshot snapshot;
+    snapshot.gauges.push_back({"monitor.fragmentation_ratio", kValue});
+    obs::HistogramSample h;
+    h.name = "monitor.observe_seconds";
+    h.data.bucketCounts.assign(obs::Histogram::kBuckets, 0);
+    const auto &bounds = obs::histogramBounds();
+    h.data.bucketCounts[static_cast<std::size_t>(
+        std::find(bounds.begin(), bounds.end(), 20.0) - bounds.begin())] = 1;
+    h.data.count = 1;
+    h.data.sum = kValue;
+    snapshot.histograms.push_back(std::move(h));
+    obs::SpanNode root("root", nullptr);
+
+    std::ostringstream out;
+    obs::writeMetricsJson(out, snapshot, root, "lossless",
+                          "2026-01-01T00:00:00Z");
+    obs::json::Value doc;
+    std::string error;
+    ASSERT_TRUE(obs::json::parse(out.str(), doc, &error)) << error;
+    const auto bits = [](std::optional<double> v) {
+        return v ? std::bit_cast<std::uint64_t>(*v) : 0;
+    };
+    const obs::json::Value *gauges = doc.find("gauges");
+    const obs::json::Value *hists = doc.find("histograms");
+    ASSERT_NE(gauges, nullptr);
+    ASSERT_NE(hists, nullptr);
+    const obs::json::Value *gauge =
+        gauges->find("monitor.fragmentation_ratio");
+    const obs::json::Value *hist = hists->find("monitor.observe_seconds");
+    ASSERT_NE(gauge, nullptr);
+    ASSERT_NE(hist, nullptr);
+    ASSERT_NE(hist->find("sum"), nullptr);
+    EXPECT_EQ(bits(gauge->asDouble()), std::bit_cast<std::uint64_t>(kValue))
+        << out.str();
+    EXPECT_EQ(bits(hist->find("sum")->asDouble()),
+              std::bit_cast<std::uint64_t>(kValue))
+        << out.str();
+
+    std::ostringstream prom;
+    obs::writeMetricsPrometheus(prom, snapshot, root);
+    EXPECT_NE(prom.str().find(
+                  "sosim_monitor_fragmentation_ratio 13.686916834228832\n"),
+              std::string::npos)
+        << prom.str();
+    EXPECT_NE(prom.str().find(
+                  "sosim_monitor_observe_seconds_sum 13.686916834228832\n"),
+              std::string::npos)
+        << prom.str();
+}
+
+TEST(Export, OutputIgnoresCallerStreamFormatting)
+{
+    GoldenFixture fx;
+    fx.snapshot.gauges.push_back({"test.precise", 13.686916834228832});
+    std::vector<obs::Event> events(1);
+    events[0].seq = 1;
+    events[0].kind = obs::EventKind::SwapAccept;
+    events[0].x = 13.686916834228832;
+    const auto render = [&](std::ostream &os) {
+        obs::writeMetricsJson(os, fx.snapshot, fx.root, "fmt",
+                              "2026-01-01T00:00:00Z");
+        obs::writeMetricsPrometheus(os, fx.snapshot, fx.root);
+        obs::writeEventJournal(os, events, "fmt");
+        obs::writeChromeTrace(os, events, "fmt");
+    };
+    obs::setFakeTime("2026-01-01T00:00:00Z");
+    std::ostringstream plain;
+    render(plain);
+    std::ostringstream formatted;
+    formatted << std::fixed << std::setprecision(2);
+    render(formatted);
+    obs::setFakeTime("");
+    EXPECT_EQ(formatted.str(), plain.str());
 }
 
 TEST(Export, SpanTreePrinterShowsHierarchy)

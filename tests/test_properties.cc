@@ -8,13 +8,16 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "baseline/oblivious.h"
+#include "cluster/shape_index.h"
 #include "core/asynchrony.h"
+#include "core/monitor.h"
 #include "core/placement.h"
 #include "core/remap.h"
 #include "power/metrics.h"
@@ -239,6 +242,129 @@ TEST(ScaleInvariance, FleetPlansIgnoreTraceScale)
     remap.pruneKeepFraction = 0.25;
     expectScaleInvariantPlans(workload::buildFleetSpec(1024, options),
                               remap);
+}
+
+// Monitor verdicts.  measureWeek's fragmentation ratio is a ratio of
+// peaks, the shape drift compares normalized shapes, and ingest judges
+// ratios against ratios, so the same argument holds: on scaled traces
+// every ratio, flag, count and action is bit-identical and the peaks
+// scale exactly.  evalSeconds is wall time and is not compared.
+
+using MonitorRun = std::vector<std::pair<core::MonitorMeasurement,
+                                         core::MonitorObservation>>;
+
+void
+expectScaleInvariantVerdicts(const workload::DatacenterSpec &spec)
+{
+    const auto dc = workload::generate(spec);
+    const auto training = dc.trainingTraces();
+    std::vector<std::size_t> service_of(dc.instanceCount());
+    for (std::size_t i = 0; i < dc.instanceCount(); ++i)
+        service_of[i] = dc.serviceOf(i);
+    const power::PowerTree tree(spec.topology);
+    const power::Assignment smooth =
+        core::PlacementEngine(tree, {}).place(training, service_of);
+    const power::Assignment oblivious =
+        baseline::obliviousPlacement(tree, service_of);
+    std::vector<const double *> rows;
+    for (const auto &t : training)
+        rows.push_back(t.samples().data());
+    const auto index =
+        cluster::ShapeIndex::build(rows, training.front().size());
+
+    // A healthy baseline, a degraded week, then the fragmented placement
+    // (healthy and degraded) so the thresholds have something to judge.
+    struct Step {
+        int week;
+        const power::Assignment *placed;
+        bool gaps;
+    };
+    const std::vector<Step> steps = {
+        {0, &smooth, false},    {1, &smooth, false},
+        {1, &smooth, true},     {0, &oblivious, false},
+        {1, &oblivious, true},  {1, &smooth, false},
+    };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto run = [&](double factor) {
+        core::FragmentationMonitor monitor(tree);
+        MonitorRun out;
+        for (const Step &step : steps) {
+            std::vector<TimeSeries> week;
+            for (std::size_t i = 0; i < dc.instanceCount(); ++i) {
+                TimeSeries t = dc.weekTrace(i, step.week);
+                t *= factor;
+                // Gaps: every fifth instance loses a stretch (repaired);
+                // every 23rd loses most of the week (excluded).
+                const std::size_t lost =
+                    !step.gaps        ? 0
+                    : i % 23 == 0     ? t.size() * 3 / 4
+                    : i % 5 == 0      ? t.size() / 10
+                                      : 0;
+                for (std::size_t k = 0; k < lost; ++k)
+                    t[t.size() / 8 + k] = nan;
+                week.push_back(std::move(t));
+            }
+            const auto m =
+                core::measureWeek(tree, monitor.config(), week,
+                                  *step.placed, &index);
+            out.emplace_back(m, monitor.ingest(m));
+        }
+        return out;
+    };
+
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    const MonitorRun want = run(1.0);
+    bool acted = false;
+    bool degraded = false;
+    bool excluded = false;
+    for (const auto &[m, o] : want) {
+        acted = acted || o.action != core::MonitorAction::None;
+        degraded = degraded || o.degradedData;
+        excluded = excluded || o.excludedInstances > 0;
+    }
+    ASSERT_TRUE(acted && degraded && excluded)
+        << "the steps must exercise an action, a degraded week and an "
+           "exclusion, or the comparison tests nothing";
+    for (const double factor : {2.0, 0.5}) {
+        SCOPED_TRACE(spec.name + " factor " + std::to_string(factor));
+        const MonitorRun got = run(factor);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t w = 0; w < want.size(); ++w) {
+            SCOPED_TRACE("step " + std::to_string(w));
+            const auto &[gm, go] = got[w];
+            const auto &[wm, wo] = want[w];
+            EXPECT_EQ(bits(gm.fragmentationRatio),
+                      bits(wm.fragmentationRatio));
+            EXPECT_EQ(bits(gm.sumOfPeaks), bits(wm.sumOfPeaks * factor));
+            EXPECT_EQ(bits(gm.rootPeak), bits(wm.rootPeak * factor));
+            EXPECT_EQ(bits(gm.shapeDrift), bits(wm.shapeDrift));
+            EXPECT_EQ(bits(gm.validFraction), bits(wm.validFraction));
+            EXPECT_EQ(gm.degradedData, wm.degradedData);
+            EXPECT_EQ(gm.repairedSamples, wm.repairedSamples);
+            EXPECT_EQ(gm.excludedInstances, wm.excludedInstances);
+            EXPECT_EQ(go.week, wo.week);
+            EXPECT_EQ(go.action, wo.action);
+            EXPECT_EQ(bits(go.fragmentationRatio),
+                      bits(wo.fragmentationRatio));
+        }
+    }
+}
+
+TEST(ScaleInvariance, Dc3MonitorVerdictsIgnoreTraceScale)
+{
+    workload::PresetOptions options;
+    options.scale = 0.25; // 384 instances.
+    options.intervalMinutes = 30;
+    options.weeks = 3;
+    expectScaleInvariantVerdicts(workload::buildDc3Spec(options));
+}
+
+TEST(ScaleInvariance, FleetMonitorVerdictsIgnoreTraceScale)
+{
+    workload::PresetOptions options;
+    options.intervalMinutes = 30;
+    options.weeks = 3;
+    expectScaleInvariantVerdicts(workload::buildFleetSpec(1024, options));
 }
 
 } // namespace

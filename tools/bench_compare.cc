@@ -32,8 +32,11 @@
  * deliberately never fails on) was in effect, instead of that context
  * living only in a scrolled-away build log.
  *
- * The parser reads exactly the schema bench_report writes; it is not a
- * general JSON reader.
+ * Both documents are read with the strict JSON reader (obs/json.h).
+ * A file that is not JSON, has no rows, or has a row whose fused_ms or
+ * pooled_ms is null, missing or not a number exits 2: a timing the
+ * gate cannot read must not pass it as 0 ms.  reference_ms and the
+ * speedups are not gated and may be null.
  *
  * CI wiring and the baseline update procedure are documented in
  * README.md ("CI jobs") and EXPERIMENTS.md: regenerate the baseline
@@ -42,21 +45,26 @@
  * numbers.
  */
 
-#include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/json.h"
+
 namespace {
+
+namespace json = sosim::obs::json;
 
 struct Row {
     std::string name;
-    long population = 0;
+    std::uint64_t population = 0;
     double fusedMs = -1.0;
     double pooledMs = -1.0;
 };
@@ -68,110 +76,88 @@ keyOf(const Row &row)
     return row.name + "/" + std::to_string(row.population);
 }
 
-/**
- * Pull the value after `"field":` out of one JSON object body.  Returns
- * an empty string when the field is absent.
- */
-std::string
-rawField(const std::string &object, const std::string &field)
-{
-    const std::string needle = "\"" + field + "\":";
-    const auto at = object.find(needle);
-    if (at == std::string::npos)
-        return "";
-    std::size_t begin = at + needle.size();
-    while (begin < object.size() &&
-           std::isspace(static_cast<unsigned char>(object[begin])))
-        ++begin;
-    std::size_t end = begin;
-    if (end < object.size() && object[end] == '"') {
-        ++end;
-        while (end < object.size() && object[end] != '"')
-            ++end;
-        return object.substr(begin + 1, end - begin - 1);
-    }
-    while (end < object.size() && object[end] != ',' &&
-           object[end] != '}')
-        ++end;
-    return object.substr(begin, end - begin);
-}
-
-/** Parse the result rows of a bench_report document. */
-std::vector<Row>
-parseReport(const std::string &path)
-{
-    std::ifstream file(path);
-    if (!file) {
-        std::cerr << "bench_compare: cannot read " << path << "\n";
-        std::exit(2);
-    }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    const std::string text = buffer.str();
-
-    const auto results = text.find("\"results\"");
-    if (results == std::string::npos) {
-        std::cerr << "bench_compare: " << path
-                  << " has no \"results\" array\n";
-        std::exit(2);
-    }
-
-    std::vector<Row> rows;
-    std::size_t cursor = text.find('[', results);
-    while (cursor != std::string::npos) {
-        const auto open = text.find('{', cursor);
-        if (open == std::string::npos)
-            break;
-        const auto close = text.find('}', open);
-        if (close == std::string::npos)
-            break;
-        const std::string object = text.substr(open, close - open + 1);
-        Row row;
-        row.name = rawField(object, "name");
-        const std::string population = rawField(object, "population");
-        const std::string fused = rawField(object, "fused_ms");
-        const std::string pooled = rawField(object, "pooled_ms");
-        if (!row.name.empty() && !population.empty() && !fused.empty() &&
-            !pooled.empty()) {
-            row.population = std::strtol(population.c_str(), nullptr, 10);
-            row.fusedMs = std::strtod(fused.c_str(), nullptr);
-            row.pooledMs = std::strtod(pooled.c_str(), nullptr);
-            rows.push_back(row);
-        }
-        cursor = close + 1;
-    }
-    if (rows.empty()) {
-        std::cerr << "bench_compare: " << path
-                  << " contains no benchmark rows\n";
-        std::exit(2);
-    }
-    return rows;
-}
-
-/** The report-level hardware fields, as raw text ("" when absent —
+/** The report-level hardware fields as JSON text ("" when absent —
  *  reports written before the fields existed do not carry them). */
 struct Hardware {
     std::string concurrency;
     std::string oversubscribed;
 };
 
-Hardware
-parseHardware(const std::string &path)
+struct Report {
+    std::vector<Row> rows;
+    Hardware hardware;
+};
+
+[[noreturn]] void
+unreadable(const std::string &path, const std::string &why)
+{
+    std::cerr << "bench_compare: " << path << ": " << why << "\n";
+    std::exit(2);
+}
+
+/** A top-level number or boolean's JSON text, else "". */
+std::string
+hardwareField(const json::Value &doc, const char *name)
+{
+    const json::Value *v = doc.find(name);
+    using Kind = json::Value::Kind;
+    const bool scalar =
+        v != nullptr && (v->kind == Kind::Number || v->kind == Kind::Bool);
+    return scalar ? v->text : "";
+}
+
+/**
+ * Read a bench_report document.  Anything the gate cannot trust exits
+ * 2: a file that is not JSON, no rows, or a row without a name, an
+ * integer population, or numeric fused_ms and pooled_ms (a null timing
+ * read as 0 ms would pass any comparison).
+ */
+Report
+readReport(const std::string &path)
 {
     std::ifstream file(path);
+    if (!file)
+        unreadable(path, "cannot read");
     std::stringstream buffer;
     buffer << file.rdbuf();
-    const std::string text = buffer.str();
-    // Only the document head: a row field could otherwise shadow the
-    // report-level ones.
-    const auto results = text.find("\"results\"");
-    const std::string head =
-        text.substr(0, results == std::string::npos ? text.size()
-                                                    : results);
-    Hardware hw;
-    hw.concurrency = rawField(head, "hardware_concurrency");
-    hw.oversubscribed = rawField(head, "oversubscribed");
-    return hw;
+    json::Value doc;
+    std::string error;
+    if (!json::parse(buffer.str(), doc, &error))
+        unreadable(path, "not JSON: " + error);
+    const json::Value *results = doc.find("results");
+    if (results == nullptr || results->kind != json::Value::Kind::Array)
+        unreadable(path, "has no \"results\" array");
+
+    Report report;
+    report.hardware.concurrency = hardwareField(doc, "hardware_concurrency");
+    report.hardware.oversubscribed = hardwareField(doc, "oversubscribed");
+    for (const json::Value &item : results->items) {
+        const json::Value *name = item.find("name");
+        const json::Value *population = item.find("population");
+        const auto pop = population != nullptr ? population->asUnsigned()
+                                               : std::nullopt;
+        if (name == nullptr || name->kind != json::Value::Kind::String ||
+            !pop)
+            unreadable(path, "a result row lacks a name string or an "
+                             "integer population");
+        Row row;
+        row.name = name->text;
+        row.population = *pop;
+        const auto ms = [&](const char *field) {
+            const json::Value *v = item.find(field);
+            const auto x = v != nullptr ? v->asDouble() : std::nullopt;
+            if (!x)
+                unreadable(path, keyOf(row) + ": " + field +
+                                     " is null, missing or not a number");
+            return *x;
+        };
+        row.fusedMs = ms("fused_ms");
+        row.pooledMs = ms("pooled_ms");
+        report.rows.push_back(row);
+    }
+    if (report.rows.empty())
+        unreadable(path, "contains no benchmark rows");
+    return report;
 }
 
 /**
@@ -182,11 +168,9 @@ parseHardware(const std::string &path)
  * the asymmetry instead of pretending the hardware matched.
  */
 void
-warnOnHardwareMismatch(const std::string &base_path,
-                       const std::string &cur_path)
+warnOnHardwareMismatch(const std::string &base_path, const Hardware &base,
+                       const std::string &cur_path, const Hardware &cur)
 {
-    const Hardware base = parseHardware(base_path);
-    const Hardware cur = parseHardware(cur_path);
     if (base.concurrency.empty() && cur.concurrency.empty())
         return;
     if (base.concurrency.empty() || cur.concurrency.empty()) {
@@ -227,35 +211,38 @@ struct GateLine {
     double pooledPct = 0.0;
 };
 
-/** A report-level hardware field as a JSON value ("null" when the
- *  report predates the field). */
-std::string
-jsonHardwareField(const std::string &raw)
-{
-    return raw.empty() ? "null" : raw;
-}
-
 void
 writeComparisonJson(std::ostream &os, const std::string &base_path,
-                    const std::string &cur_path, double max_regress,
-                    double min_ms, const std::vector<GateLine> &lines,
-                    int failures)
+                    const Hardware &base, const std::string &cur_path,
+                    const Hardware &cur, double max_regress, double min_ms,
+                    const std::vector<GateLine> &lines, int failures)
 {
-    const Hardware base = parseHardware(base_path);
-    const Hardware cur = parseHardware(cur_path);
-    os << "{\n";
-    os << "  \"baseline\": \"" << base_path << "\",\n";
-    os << "  \"current\": \"" << cur_path << "\",\n";
-    os << "  \"max_regress_pct\": " << max_regress << ",\n";
-    os << "  \"min_ms\": " << min_ms << ",\n";
-    os << "  \"baseline_hardware_concurrency\": "
-       << jsonHardwareField(base.concurrency) << ",\n";
-    os << "  \"baseline_oversubscribed\": "
-       << jsonHardwareField(base.oversubscribed) << ",\n";
-    os << "  \"current_hardware_concurrency\": "
-       << jsonHardwareField(cur.concurrency) << ",\n";
-    os << "  \"current_oversubscribed\": "
-       << jsonHardwareField(cur.oversubscribed) << ",\n";
+    // Hardware fields hold validated JSON number/boolean text; "" is a
+    // report that predates the field.
+    const auto field = [&os](const char *name, const std::string &text) {
+        os << "  \"" << name << "\": " << (text.empty() ? "null" : text)
+           << ",\n";
+    };
+    // Timings below zero are the "no such side" sentinel.
+    const auto ms = [&os](double v) {
+        if (v < 0.0)
+            os << "null";
+        else
+            json::writeNumber(os, v);
+    };
+    os << "{\n  \"baseline\": ";
+    json::writeString(os, base_path);
+    os << ",\n  \"current\": ";
+    json::writeString(os, cur_path);
+    os << ",\n  \"max_regress_pct\": ";
+    json::writeNumber(os, max_regress);
+    os << ",\n  \"min_ms\": ";
+    json::writeNumber(os, min_ms);
+    os << ",\n";
+    field("baseline_hardware_concurrency", base.concurrency);
+    field("baseline_oversubscribed", base.oversubscribed);
+    field("current_hardware_concurrency", cur.concurrency);
+    field("current_oversubscribed", cur.oversubscribed);
     os << "  \"hardware_mismatch\": "
        << (base.concurrency != cur.concurrency ||
                    base.oversubscribed != cur.oversubscribed
@@ -266,24 +253,23 @@ writeComparisonJson(std::ostream &os, const std::string &base_path,
     os << "  \"rows\": [\n";
     for (std::size_t i = 0; i < lines.size(); ++i) {
         const auto &l = lines[i];
-        const auto ms = [&os](double v) {
-            if (v < 0.0)
-                os << "null";
-            else
-                os << v;
-        };
-        os << "    {\"key\": \"" << l.key << "\", \"status\": \""
-           << l.status << "\", \"baseline_fused_ms\": ";
+        os << "    {\"key\": ";
+        json::writeString(os, l.key);
+        os << ", \"status\": ";
+        json::writeString(os, l.status);
+        os << ", \"baseline_fused_ms\": ";
         ms(l.baseFusedMs);
         os << ", \"current_fused_ms\": ";
         ms(l.curFusedMs);
-        os << ", \"fused_regress_pct\": " << l.fusedPct
-           << ", \"baseline_pooled_ms\": ";
+        os << ", \"fused_regress_pct\": ";
+        json::writeNumber(os, l.fusedPct);
+        os << ", \"baseline_pooled_ms\": ";
         ms(l.basePooledMs);
         os << ", \"current_pooled_ms\": ";
         ms(l.curPooledMs);
-        os << ", \"pooled_regress_pct\": " << l.pooledPct << "}"
-           << (i + 1 < lines.size() ? "," : "") << "\n";
+        os << ", \"pooled_regress_pct\": ";
+        json::writeNumber(os, l.pooledPct);
+        os << "}" << (i + 1 < lines.size() ? "," : "") << "\n";
     }
     os << "  ]\n";
     os << "}\n";
@@ -338,9 +324,12 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const auto baseline = parseReport(files[0]);
-    const auto current = parseReport(files[1]);
-    warnOnHardwareMismatch(files[0], files[1]);
+    const Report base_report = readReport(files[0]);
+    const Report cur_report = readReport(files[1]);
+    const auto &baseline = base_report.rows;
+    const auto &current = cur_report.rows;
+    warnOnHardwareMismatch(files[0], base_report.hardware, files[1],
+                           cur_report.hardware);
     std::map<std::string, Row> current_by_key;
     for (const auto &row : current)
         current_by_key[keyOf(row)] = row;
@@ -432,7 +421,8 @@ main(int argc, char **argv)
                       << "\n";
             return 2;
         }
-        writeComparisonJson(out, files[0], files[1], max_regress, min_ms,
+        writeComparisonJson(out, files[0], base_report.hardware, files[1],
+                            cur_report.hardware, max_regress, min_ms,
                             lines, failures);
         std::cout << "comparison written to " << json_out << "\n";
     }

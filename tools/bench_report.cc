@@ -34,10 +34,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <ctime>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -49,6 +49,7 @@
 #include "fault/inject.h"
 #include "obs/events.h"
 #include "obs/export.h"
+#include "obs/json.h"
 #include "obs/trace_export.h"
 #include "trace/kernels.h"
 #include "trace/repair.h"
@@ -137,11 +138,6 @@ void
 writeJson(std::ostream &os, const std::vector<Measurement> &rows,
           const std::string &label, std::size_t pool_threads, int repeats)
 {
-    const std::time_t now = std::time(nullptr);
-    char stamp[32] = "unknown";
-    if (const std::tm *tm = std::gmtime(&now))
-        std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ", tm);
-
     // Hardware honesty: record what the machine offered alongside what
     // the run requested, so a report from an oversubscribed run (more
     // pool threads than cores) can never masquerade as a clean one in a
@@ -149,41 +145,43 @@ writeJson(std::ostream &os, const std::vector<Measurement> &rows,
     const unsigned hw = std::thread::hardware_concurrency();
     const std::size_t hw_threads = hw > 0 ? hw : 1;
 
-    os << "{\n";
-    os << "  \"label\": \"" << label << "\",\n";
-    os << "  \"timestamp_utc\": \"" << stamp << "\",\n";
+    os << "{\n  \"label\": ";
+    obs::json::writeString(os, label);
+    os << ",\n  \"timestamp_utc\": ";
+    obs::json::writeString(os, obs::utcTimestamp());
+    os << ",\n";
     os << "  \"pool_threads\": " << pool_threads << ",\n";
     os << "  \"hardware_concurrency\": " << hw_threads << ",\n";
     os << "  \"oversubscribed\": "
        << (pool_threads > hw_threads ? "true" : "false") << ",\n";
-    os << "  \"kernel_isa\": \"" << trace::kernelIsaName() << "\",\n";
+    os << "  \"kernel_isa\": ";
+    obs::json::writeString(os, trace::kernelIsaName());
+    os << ",\n";
     os << "  \"repeats\": " << repeats << ",\n";
     os << "  \"results\": [\n";
+    // A row without a materializing baseline carries null reference and
+    // speedups; writeNumber turns the NaN ratios into null.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto &m = rows[i];
-        const bool has_ref = m.referenceMs >= 0.0;
-        os << "    {\"name\": \"" << m.name << "\", "
-           << "\"population\": " << m.population << ", "
-           << "\"samples_per_trace\": " << m.samples << ", "
-           << "\"reference_ms\": ";
-        if (has_ref)
-            os << m.referenceMs;
-        else
-            os << "null";
-        os << ", \"fused_ms\": " << m.fusedMs << ", "
-           << "\"pooled_ms\": " << m.pooledMs << ", "
-           << "\"fused_threads\": " << m.fusedThreads << ", "
-           << "\"pooled_threads\": " << m.pooledThreads << ", "
-           << "\"speedup_fused\": ";
-        if (has_ref && m.fusedMs > 0.0)
-            os << m.referenceMs / m.fusedMs;
-        else
-            os << "null";
+        const double ref = m.referenceMs >= 0.0 ? m.referenceMs : nan;
+        os << "    {\"name\": ";
+        obs::json::writeString(os, m.name);
+        os << ", \"population\": " << m.population
+           << ", \"samples_per_trace\": " << m.samples
+           << ", \"reference_ms\": ";
+        obs::json::writeNumber(os, ref);
+        os << ", \"fused_ms\": ";
+        obs::json::writeNumber(os, m.fusedMs);
+        os << ", \"pooled_ms\": ";
+        obs::json::writeNumber(os, m.pooledMs);
+        os << ", \"fused_threads\": " << m.fusedThreads
+           << ", \"pooled_threads\": " << m.pooledThreads
+           << ", \"speedup_fused\": ";
+        obs::json::writeNumber(os, m.fusedMs > 0.0 ? ref / m.fusedMs : nan);
         os << ", \"speedup_pooled\": ";
-        if (has_ref && m.pooledMs > 0.0)
-            os << m.referenceMs / m.pooledMs;
-        else
-            os << "null";
+        obs::json::writeNumber(os,
+                               m.pooledMs > 0.0 ? ref / m.pooledMs : nan);
         os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     os << "  ]\n";

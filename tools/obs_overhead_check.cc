@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -34,6 +35,7 @@
 #include "core/asynchrony.h"
 #include "core/service_traces.h"
 #include "obs/events.h"
+#include "obs/json.h"
 #include "util/parallel.h"
 #include "workload/catalog.h"
 #include "workload/generator.h"
@@ -83,9 +85,10 @@ bestMs(int repeats, Fn &&fn)
 }
 
 /**
- * Pull "speedup_fused" out of the committed scoreVectors row for the
- * checked population.  bench_report writes one result object per line,
- * so a line-oriented scan is enough — no JSON library needed.
+ * "speedup_fused" of the committed scoreVectors row at the checked
+ * population, or -1 when the file is missing or the row or its speedup
+ * is absent or null.  A file that is not JSON exits 2: a corrupt
+ * baseline must not read as a skipped check.
  */
 double
 baselineSpeedup(const std::string &path)
@@ -93,19 +96,28 @@ baselineSpeedup(const std::string &path)
     std::ifstream in(path);
     if (!in)
         return -1.0;
-    const std::string name_key = "\"name\": \"scoreVectors\"";
-    const std::string pop_key =
-        "\"population\": " + std::to_string(kPopulation) + ",";
-    const std::string speedup_key = "\"speedup_fused\": ";
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.find(name_key) == std::string::npos ||
-            line.find(pop_key) == std::string::npos)
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    obs::json::Value doc;
+    std::string error;
+    if (!obs::json::parse(buffer.str(), doc, &error)) {
+        std::cerr << "obs_overhead_check: " << path << " is not JSON: "
+                  << error << "\n";
+        std::exit(2);
+    }
+    const obs::json::Value *results = doc.find("results");
+    if (results == nullptr)
+        return -1.0;
+    for (const obs::json::Value &row : results->items) {
+        const obs::json::Value *name = row.find("name");
+        const obs::json::Value *pop = row.find("population");
+        const obs::json::Value *speedup = row.find("speedup_fused");
+        if (name == nullptr || name->text != "scoreVectors" ||
+            pop == nullptr ||
+            pop->asUnsigned() != std::uint64_t{kPopulation} ||
+            speedup == nullptr)
             continue;
-        const auto at = line.find(speedup_key);
-        if (at == std::string::npos)
-            continue;
-        return std::stod(line.substr(at + speedup_key.size()));
+        return speedup->asDouble().value_or(-1.0);
     }
     return -1.0;
 }
