@@ -20,12 +20,12 @@ namespace {
 
 /**
  * Mutable per-rack state kept while searching for swaps.  The aggregate
- * lives as a running-sum row in the shared TraceArena and is maintained
- * incrementally across accepted swaps (one fused sub/add-and-max pass
- * per side) instead of being re-summed.  The per-member differential
- * scores and others-peaks are cached too: they only change when a swap
- * touches the rack, so rounds that merely mark a rack as tried reuse
- * them wholesale.
+ * lives as a running-sum row in the refinement's TraceArena and is
+ * maintained incrementally across accepted swaps (one fused
+ * sub/add-and-max pass per side) instead of being re-summed.  The
+ * per-member differential scores and others-peaks are cached too: they
+ * only change when a swap touches the rack, so rounds that merely mark
+ * a rack as tried reuse them wholesale.
  *
  * Every rack — occupied or not — owns one aggregate row, allocated in
  * racks() order, so the rows of one ShardPlan shard form a contiguous,
@@ -42,11 +42,14 @@ struct RackState {
      *   scoreBefore[m] — differential score of member m against the rest
      *                    of this rack (diffScore with itself leaving);
      *   othersPeak[m]  — peak(aggregate - member m), the numerator term
-     *                    shared by the before/after scores at this rack.
+     *                    shared by the before/after scores at this rack;
+     *   othersPeakAt[m] — first index attaining othersPeak[m], one of
+     *                    the swap scan's probe samples.
      * Valid while cacheValid; invalidated by an accepted swap here.
      */
     std::vector<double> scoreBefore;
     std::vector<double> othersPeak;
+    std::vector<std::size_t> othersPeakAt;
     bool cacheValid = false;
 };
 
@@ -134,22 +137,13 @@ struct RejectTally {
  */
 struct alignas(64) ShardSlot {
     LocalBest best;
-    /** Pairs that reached a kernel pass (passed validity + prune). */
+    /** Pairs scored against the accept test (passed validity + prune). */
     std::uint64_t evaluated = 0;
+    /** Evaluated pairs rejected by an O(1) bound, before any pass. */
+    std::uint64_t boundRejected = 0;
     /** Pairs skipped by the cluster candidate index before any pass. */
     std::uint64_t pruned = 0;
 };
-
-/** Mode-routed kernels: strict preserves the reference scan order. */
-double
-peakOfAddScaledDiffMode(trace::KernelMode mode, trace::TraceView c,
-                        trace::TraceView a, trace::TraceView b,
-                        double scale)
-{
-    return mode == trace::KernelMode::kBlocked
-               ? trace::peakOfAddScaledDiffBlocked(c, a, b, scale)
-               : trace::peakOfAddScaledDiff(c, a, b, scale);
-}
 
 } // namespace
 
@@ -220,22 +214,37 @@ Remapper::refine(power::Assignment &assignment,
                 ++excluded;
     SOSIM_COUNT_ADD("remap.instances_excluded", excluded);
 
-    // Every trace, every rack running sum, and the per-candidate scratch
-    // rows live in one SoA arena: the whole swap scan walks contiguous
-    // 64-byte-aligned rows instead of chasing per-series allocations.
-    // Row ids: [0, N) instance traces (TraceId == instance index), then
-    // one aggregate row per rack — every rack, in racks() order, so each
-    // shard of the plan below owns a contiguous row block — then the
-    // candidate scratch rows.
+    // Instance rows are read in place through views over `itraces`; the
+    // population is never copied.  Each instance's peak and first peak
+    // index are computed once here with the dispatched kernels (peaks
+    // are bit-identical to the strict scan on finite data, which refine
+    // requires) — the scan below reads nothing from the lazy stats
+    // caches, so the fan-outs share no mutable state.
+    const std::size_t population = itraces.size();
+    const trace::TraceView first_row = itraces.front();
+    SOSIM_REQUIRE(!first_row.empty(),
+                  "Remapper::refine: traces must be non-empty");
+    std::vector<trace::TraceView> rows(population);
+    for (std::size_t i = 0; i < population; ++i) {
+        rows[i] = itraces[i];
+        SOSIM_REQUIRE(rows[i].alignedWith(first_row),
+                      "Remapper::refine: traces must share length and "
+                      "interval");
+    }
+    std::vector<double> inst_peak(population);
+    std::vector<std::size_t> inst_peak_at(population);
+    util::parallelFor(population, [&](std::size_t i) {
+        inst_peak[i] = trace::peakBlocked(rows[i]);
+        inst_peak_at[i] = trace::firstPeakIndex(rows[i], inst_peak[i]);
+    });
+
+    // The arena holds only what the refinement writes: one running-sum
+    // row per rack — every rack, in racks() order, so each shard of the
+    // plan below owns a contiguous 64-byte-aligned row block — then the
+    // per-candidate scratch rows.
     const auto rack_ids = tree_.racks();
-    trace::TraceArena arena = trace::TraceArena::fromSeries(
-        itraces, rack_ids.size() + config_.candidatesPerRound);
-    // Warm the per-instance stats rows up front: the parallel candidate
-    // evaluation below reads them from worker threads.  Each index fills
-    // only its own lazy slot (distinct LazyStatsSlot objects), which is
-    // the per-index-slot discipline the parallelFor contract requires.
-    util::parallelFor(itraces.size(),
-                      [&](std::size_t id) { arena.stats(id); });
+    trace::TraceArena arena(rack_ids.size() + config_.candidatesPerRound,
+                            first_row.size(), first_row.intervalMinutes());
 
     // Shard the racks into contiguous ranges aligned to their power
     // subtree at config.shardLevel (the DFS construction order of the
@@ -261,6 +270,9 @@ Remapper::refine(power::Assignment &assignment,
     // after every accepted swap rather than rebuilt.  Rows are claimed
     // serially (allocation order is the layout contract above); the
     // fills fan out per rack, each writing only its own row and state.
+    // Summing without a max-scan and taking one dispatched peak of the
+    // finished row gives the identical row and peak as accumulating
+    // with a running max.
     std::vector<RackState> racks(tree_.nodeCount());
     const auto per_rack = tree_.instancesPerRack(assignment);
     const trace::TraceId agg_base = arena.size();
@@ -274,9 +286,10 @@ Remapper::refine(power::Assignment &assignment,
             return;
         double *agg = arena.mutableRow(state.aggRow);
         for (const auto i : state.members) {
-            state.aggPeak = trace::accumulatePeakRow(agg, arena.view(i));
-            state.peakSum += arena.stats(i).peak;
+            trace::accumulateRow(agg, rows[i]);
+            state.peakSum += inst_peak[i];
         }
+        state.aggPeak = trace::peakBlocked(arena.view(state.aggRow));
     });
     // One ArenaShardView per shard over its aggregate-row block, handed
     // to evaluation tasks so a task only ever reads rows of its shard.
@@ -291,7 +304,7 @@ Remapper::refine(power::Assignment &assignment,
     // clusters too synchronous with the candidate's before any kernel
     // pass runs.
     const bool prune =
-        config_.prune == PruneMode::kCluster && itraces.size() >= 2;
+        config_.prune == PruneMode::kCluster && population >= 2;
     cluster::CandidatePairIndex prune_index;
     if (prune) {
         SOSIM_SPAN("remap.prune_index");
@@ -301,15 +314,15 @@ Remapper::refine(power::Assignment &assignment,
         // fall back to embedding locally.
         std::vector<cluster::Point> local_points;
         const std::vector<cluster::Point> *points = nullptr;
-        if (shapes != nullptr && shapes->size() == itraces.size()) {
+        if (shapes != nullptr && shapes->size() == population) {
             points = &shapes->points();
             SOSIM_COUNT("remap.prune_index_reused");
         } else {
-            std::vector<const double *> trace_rows(itraces.size());
-            for (trace::TraceId id = 0; id < itraces.size(); ++id)
-                trace_rows[id] = arena.row(id);
+            std::vector<const double *> trace_rows(population);
+            for (std::size_t id = 0; id < population; ++id)
+                trace_rows[id] = rows[id].data();
             local_points = cluster::shapePoints(
-                trace_rows, arena.samplesPerTrace(),
+                trace_rows, first_row.size(),
                 cluster::kDefaultShapeBuckets);
             points = &local_points;
         }
@@ -328,64 +341,40 @@ Remapper::refine(power::Assignment &assignment,
     for (auto &row : scratch)
         row = arena.addZeros();
 
-    // Differential score of `candidate` joining `rack` after `out`
-    // leaves, served from the hoisted others-row/peak: the numerator
-    // reuses others_peak, the denominator is one fused pass.  In strict
-    // mode the pass aborts once the prefix peak already proves
-    // `score <= threshold` — the caller's accept test takes the
-    // identical branch either way (see the early-reject kernel
-    // contract in trace/kernels.h).
-    const auto diffScoreHoisted =
-        [&](trace::TraceView candidate, double candidate_peak,
-            trace::TraceView others_diff, double others_peak,
-            std::size_t other_count, double threshold) {
-            if (other_count == 0)
-                return 2.0; // Joining an empty rack can never clash.
-            const double scale =
-                1.0 / static_cast<double>(other_count);
-            const double numerator =
-                candidate_peak + scale * others_peak;
-            const double aggregate_peak =
-                mode == trace::KernelMode::kBlocked
-                    ? trace::peakOfScaledSumBlocked(candidate,
-                                                    others_diff, scale)
-                    : trace::peakOfScaledSumEarlyReject(
-                          candidate, others_diff, scale, numerator,
-                          threshold);
-            if (aggregate_peak <= 0.0)
-                return 0.0; // Zero-power convention.
-            return numerator / aggregate_peak;
-        };
+    // Score from a numerator and the aggregate peak (zero-power
+    // convention for a non-positive peak, see core/asynchrony.h).
+    const auto scoreOf = [](double numerator, double aggregate_peak) {
+        return aggregate_peak <= 0.0 ? 0.0 : numerator / aggregate_peak;
+    };
 
-    // Fill a rack's per-member caches (scoreBefore / othersPeak).  Pure
-    // recomputation of values the scan would otherwise re-derive, so
-    // refresh order across racks cannot affect results.
+    // Fill a rack's per-member caches (scoreBefore / othersPeak /
+    // othersPeakAt).  Pure recomputation of values the scan would
+    // otherwise re-derive, so refresh order across racks cannot affect
+    // results.  Peak-only passes, so the dispatched kernels serve both
+    // kernel modes with identical values.
     const auto refreshCache = [&](RackState &rack) {
         if (rack.cacheValid)
             return;
         const std::size_t count = rack.members.size();
         rack.scoreBefore.assign(count, 2.0);
         rack.othersPeak.assign(count, 0.0);
+        rack.othersPeakAt.assign(count, 0);
         const trace::TraceView agg = arena.view(rack.aggRow);
         const std::size_t others = count - 1;
         util::parallelFor(count, [&](std::size_t m) {
             const std::size_t i = rack.members[m];
             if (others == 0)
                 return; // scoreBefore stays at the 2.0 convention.
-            const trace::TraceView member = arena.view(i);
-            const double others_peak =
-                mode == trace::KernelMode::kBlocked
-                    ? trace::peakOfDiffBlocked(agg, member)
-                    : trace::peakOfDiff(agg, member);
+            const trace::TraceView member = rows[i];
+            const double others_peak = trace::peakOfDiffBlocked(agg, member);
             rack.othersPeak[m] = others_peak;
+            rack.othersPeakAt[m] =
+                trace::firstPeakIndexOfDiff(agg, member, others_peak);
             const double scale = 1.0 / static_cast<double>(others);
-            const double aggregate_peak = peakOfAddScaledDiffMode(
-                mode, member, agg, member, scale);
-            rack.scoreBefore[m] =
-                aggregate_peak <= 0.0
-                    ? 0.0
-                    : (arena.stats(i).peak + scale * others_peak) /
-                          aggregate_peak;
+            rack.scoreBefore[m] = scoreOf(
+                inst_peak[i] + scale * others_peak,
+                trace::peakOfAddScaledDiffBlocked(member, agg, member,
+                                                  scale));
         });
         rack.cacheValid = true;
     };
@@ -446,16 +435,21 @@ Remapper::refine(power::Assignment &assignment,
         const std::size_t candidates =
             std::min(config_.candidatesPerRound, scored.size());
 
-        // Hoist the per-candidate "rack A minus leaver" row and its peak
-        // out of the pair scan: one materializing pass per candidate
-        // replaces a peakOfDiff + three-stream fused pass per *pair*.
-        // Fanned out per candidate; each writes only its scratch row.
+        // Hoist the per-candidate "rack A minus leaver" row, its peak and
+        // its first peak index out of the pair scan: one materializing
+        // pass per candidate replaces a peakOfDiff + three-stream fused
+        // pass per *pair*.  Fanned out per candidate; each writes only
+        // its scratch row and slots.
         const std::size_t others_a = rack_a.members.size() - 1;
+        const double scale_a = 1.0 / static_cast<double>(others_a);
         std::vector<double> cand_others_peak(candidates, 0.0);
+        std::vector<std::size_t> cand_others_peak_at(candidates, 0);
         util::parallelFor(candidates, [&](std::size_t c) {
             cand_others_peak[c] = trace::diffPeakRow(
                 arena.mutableRow(scratch[c]), arena.view(rack_a.aggRow),
-                arena.view(scored[c].second));
+                rows[scored[c].second]);
+            cand_others_peak_at[c] = trace::firstPeakIndex(
+                arena.view(scratch[c]), cand_others_peak[c]);
         });
 
         // 3. Best improving swap across all other racks: one task per
@@ -481,9 +475,12 @@ Remapper::refine(power::Assignment &assignment,
             const trace::ArenaShardView &shard_aggs = shard_rows[s];
             const std::size_t inst_a = scored[c].second;
             const double score_a_before = scored[c].first;
-            const trace::TraceView inst_a_row = arena.view(inst_a);
-            const double inst_a_peak = arena.stats(inst_a).peak;
+            const trace::TraceView inst_a_row = rows[inst_a];
+            const double inst_a_peak = inst_peak[inst_a];
+            const std::size_t inst_a_peak_at = inst_peak_at[inst_a];
             const trace::TraceView others_a_row = arena.view(scratch[c]);
+            const double others_a_peak = cand_others_peak[c];
+            const std::size_t others_a_peak_at = cand_others_peak_at[c];
             const std::size_t cluster_a =
                 prune ? prune_index.clusterOf(inst_a) : 0;
             ShardSlot &slot = local[task];
@@ -525,51 +522,111 @@ Remapper::refine(power::Assignment &assignment,
                         continue;
                     }
                     ++slot.evaluated;
-                    // Post-swap score of B at rack A first: it is the
-                    // cheaper pass (two streams against the hoisted
-                    // row), and a pair failing the improve-at-A rule
-                    // skips the improve-at-B evaluation entirely.  Pure
-                    // reordering of the paper's accept test — the
-                    // accepted set is unchanged.
-                    const double score_a_after = diffScoreHoisted(
-                        arena.view(inst_b), arena.stats(inst_b).peak,
-                        others_a_row, cand_others_peak[c], others_a,
-                        score_a_before);
-                    if (score_a_after <= score_a_before) {
+                    // The paper's accept test — the differential score
+                    // must rise at both nodes — checked cheapest-first:
+                    // (1) an O(1) bound at B, (2) an O(1) bound at A,
+                    // (3) the peak pass at B, (4) the peak pass at A.
+                    // B goes first because it rejects far more pairs
+                    // (DESIGN.md §13.5).  A bound evaluates two of the
+                    // elements the pass takes its max over, so it never
+                    // exceeds the pass's peak and trace::rejectProven
+                    // turns it into an exact reject.  Every check only
+                    // rejects what the full test rejects, so the
+                    // accepted set and its scores are unchanged; a pair
+                    // is attributed to the first check that rejects it.
+                    const trace::TraceView inst_b_row = rows[inst_b];
+                    const double score_b_before =
+                        rack_b.scoreBefore[pos_b];
+                    // (1) B: A joins rack B as B leaves.  Samples: the
+                    // first peak of rack B without B, and A's own.
+                    const double numerator_b =
+                        inst_a_peak + scale_b * rack_b.othersPeak[pos_b];
+                    if (others_b == 0) {
+                        // A lone member: the score stays at the 2.0
+                        // convention, so the swap can never improve B.
+                        if (2.0 <= score_b_before) {
+                            ++slot.boundRejected;
+                            if (recording)
+                                rejects.note(
+                                    obs::RejectReason::NoImprovement,
+                                    inst_b, score_b_before, 2.0);
+                            continue;
+                        }
+                    } else {
+                        const double floor_b = std::max(
+                            trace::addScaledDiffAt(
+                                inst_a_row, agg_b, inst_b_row, scale_b,
+                                rack_b.othersPeakAt[pos_b]),
+                            trace::addScaledDiffAt(inst_a_row, agg_b,
+                                                   inst_b_row, scale_b,
+                                                   inst_a_peak_at));
+                        if (trace::rejectProven(floor_b, numerator_b,
+                                                score_b_before)) {
+                            ++slot.boundRejected;
+                            if (recording)
+                                rejects.note(
+                                    obs::RejectReason::NoImprovement,
+                                    inst_b, score_b_before,
+                                    numerator_b / floor_b);
+                            continue;
+                        }
+                    }
+                    // (2) A: B joins rack A as the candidate leaves.
+                    // Samples: the first peak of rack A without the
+                    // candidate, and B's own.
+                    const double numerator_a =
+                        inst_peak[inst_b] + scale_a * others_a_peak;
+                    const double floor_a = std::max(
+                        trace::scaledSumAt(inst_b_row, others_a_row,
+                                           scale_a, others_a_peak_at),
+                        trace::scaledSumAt(inst_b_row, others_a_row,
+                                           scale_a,
+                                           inst_peak_at[inst_b]));
+                    if (trace::rejectProven(floor_a, numerator_a,
+                                            score_a_before)) {
+                        ++slot.boundRejected;
                         if (recording)
                             rejects.note(obs::RejectReason::EarlyReject,
                                          inst_b, score_a_before,
-                                         score_a_after);
+                                         numerator_a / floor_a);
                         continue;
                     }
-                    const double score_b_before =
-                        rack_b.scoreBefore[pos_b];
-                    double score_b_after;
-                    if (others_b == 0) {
-                        score_b_after = 2.0;
-                    } else {
-                        const double numerator =
-                            inst_a_peak +
-                            scale_b * rack_b.othersPeak[pos_b];
-                        const double aggregate_peak =
+                    // (3) B, scanned.  Strict mode aborts once a prefix
+                    // peak proves the reject (trace/kernels.h); the
+                    // returned value is exact whenever the pair passes.
+                    double score_b_after = 2.0;
+                    if (others_b > 0)
+                        score_b_after = scoreOf(
+                            numerator_b,
                             mode == trace::KernelMode::kBlocked
                                 ? trace::peakOfAddScaledDiffBlocked(
-                                      inst_a_row, agg_b,
-                                      arena.view(inst_b), scale_b)
+                                      inst_a_row, agg_b, inst_b_row,
+                                      scale_b)
                                 : trace::peakOfAddScaledDiffEarlyReject(
-                                      inst_a_row, agg_b,
-                                      arena.view(inst_b), scale_b,
-                                      numerator, score_b_before);
-                        score_b_after = aggregate_peak <= 0.0
-                                            ? 0.0
-                                            : numerator / aggregate_peak;
-                    }
-                    // Accept only improving-both-nodes swaps (paper).
+                                      inst_a_row, agg_b, inst_b_row,
+                                      scale_b, numerator_b,
+                                      score_b_before));
                     if (score_b_after <= score_b_before) {
                         if (recording)
                             rejects.note(obs::RejectReason::NoImprovement,
                                          inst_b, score_b_before,
                                          score_b_after);
+                        continue;
+                    }
+                    // (4) A, scanned.
+                    const double score_a_after = scoreOf(
+                        numerator_a,
+                        mode == trace::KernelMode::kBlocked
+                            ? trace::peakOfScaledSumBlocked(
+                                  inst_b_row, others_a_row, scale_a)
+                            : trace::peakOfScaledSumEarlyReject(
+                                  inst_b_row, others_a_row, scale_a,
+                                  numerator_a, score_a_before));
+                    if (score_a_after <= score_a_before) {
+                        if (recording)
+                            rejects.note(obs::RejectReason::EarlyReject,
+                                         inst_b, score_a_before,
+                                         score_a_after);
                         continue;
                     }
                     const double gain =
@@ -627,9 +684,11 @@ Remapper::refine(power::Assignment &assignment,
         double best_gain = 0.0;
         std::size_t best_b_pos = 0;
         std::uint64_t evaluated_pairs = 0;
+        std::uint64_t bound_rejected_pairs = 0;
         std::uint64_t pruned_pairs = 0;
         for (const auto &slot : local) {
             evaluated_pairs += slot.evaluated;
+            bound_rejected_pairs += slot.boundRejected;
             pruned_pairs += slot.pruned;
             if (slot.best.gain > best_gain) {
                 best_gain = slot.best.gain;
@@ -638,8 +697,10 @@ Remapper::refine(power::Assignment &assignment,
             }
         }
         SOSIM_COUNT_ADD("remap.pairs_evaluated", evaluated_pairs);
+        SOSIM_COUNT_ADD("remap.pairs_bound_rejected", bound_rejected_pairs);
         SOSIM_COUNT_ADD("remap.pairs_pruned", pruned_pairs);
         (void)evaluated_pairs; // Only read by the counters when obs on.
+        (void)bound_rejected_pairs;
         (void)pruned_pairs;
 
         if (best_gain > 0.0) {
@@ -657,15 +718,15 @@ Remapper::refine(power::Assignment &assignment,
             rack_b.members[best_b_pos] = best.instanceA;
 
             rack_a.aggPeak = trace::subAddPeakRow(
-                arena.mutableRow(rack_a.aggRow), arena.view(best.instanceB),
-                arena.view(best.instanceA));
-            rack_a.peakSum += arena.stats(best.instanceB).peak -
-                              arena.stats(best.instanceA).peak;
+                arena.mutableRow(rack_a.aggRow), rows[best.instanceB],
+                rows[best.instanceA]);
+            rack_a.peakSum +=
+                inst_peak[best.instanceB] - inst_peak[best.instanceA];
             rack_b.aggPeak = trace::subAddPeakRow(
-                arena.mutableRow(rack_b.aggRow), arena.view(best.instanceA),
-                arena.view(best.instanceB));
-            rack_b.peakSum += arena.stats(best.instanceA).peak -
-                              arena.stats(best.instanceB).peak;
+                arena.mutableRow(rack_b.aggRow), rows[best.instanceA],
+                rows[best.instanceB]);
+            rack_b.peakSum +=
+                inst_peak[best.instanceA] - inst_peak[best.instanceB];
             rack_a.cacheValid = false;
             rack_b.cacheValid = false;
 

@@ -54,13 +54,15 @@ struct RemapConfig {
      */
     double minValidFraction = 0.5;
     /**
-     * Kernel family for the swap-scan scoring passes.  kStrict (the
-     * default) preserves the reference scan order — refine() results are
-     * bit-identical to the materializing formulation and the golden
-     * pipeline digest.  kBlocked routes the hot passes through the
-     * blocked/SIMD kernels (see trace/kernels.h): peaks stay
-     * bit-identical on finite data, so accepted swaps normally match,
-     * but the contract is only ULP-bounded.
+     * How the swap scan runs the per-pair peak passes that survive the
+     * O(1) probe bounds.  kStrict (the default) uses the early-reject
+     * kernels, which stop a pass once its prefix peak proves the reject;
+     * kBlocked scans every such pass in full with the blocked kernels.
+     * Every pass the refinement runs is a peak over finite data, so
+     * both modes take identical decisions and return bit-identical
+     * swaps (tests/test_remap_bound.cc); the mode changes only the work
+     * done.  The setup passes (aggregates, member caches) use the
+     * dispatched blocked kernels in either mode.
      */
     trace::KernelMode kernels = trace::KernelMode::kStrict;
     /**
@@ -129,11 +131,14 @@ class Remapper
 
     /**
      * Refine an assignment in place against (possibly drifted) I-traces.
+     * The traces are read in place (never copied); the refinement owns
+     * only its rack aggregates and per-candidate scratch rows.
      *
      * @param assignment Placement to refine; updated in place.
-     * @param itraces    Current averaged I-traces of every instance;
-     *                   must be gap-free (repair degraded telemetry with
-     *                   trace::repairAll first).
+     * @param itraces    Current averaged I-traces of every instance,
+     *                   all of one length and interval; must be gap-free
+     *                   (repair degraded telemetry with trace::repairAll
+     *                   first).  Must not change during the call.
      * @param validity   Optional per-instance valid fraction *before*
      *                   repair (e.g. RepairSummary::validBefore).  When
      *                   given, instances below config's

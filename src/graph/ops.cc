@@ -15,6 +15,7 @@
 #include "trace/kernels.h"
 #include "trace/stats_cache.h"
 #include "util/error.h"
+#include "util/parse.h"
 
 namespace sosim::pipeline {
 
@@ -154,6 +155,18 @@ levelFromName(const std::string &name)
             return level;
     SOSIM_REQUIRE(false, "unknown power level '" + name +
                              "' (SUITE|MSB|SB|RPP|RACK)");
+}
+
+/** Integer value of what-if key `key`: the whole token, in T's range. */
+template <typename T>
+T
+whatIfInteger(const std::string &key, const std::string &value)
+{
+    const auto parsed = util::parseInteger<T>(value);
+    SOSIM_REQUIRE(parsed.has_value(), "--what-if: " + key +
+                                          " expects an integer, got '" +
+                                          value + "'");
+    return *parsed;
 }
 
 } // namespace
@@ -740,18 +753,17 @@ parseWhatIf(const Pipeline &p, const std::string &text)
         const std::string key = item.substr(0, eq);
         const std::string value = item.substr(eq + 1);
         if (key == "max-swaps") {
-            remap.maxSwaps = std::stoi(value);
+            remap.maxSwaps = whatIfInteger<int>(key, value);
             remap_changed = true;
         } else if (key == "placement-seed") {
-            placement.seed = std::stoull(value);
+            placement.seed = whatIfInteger<std::uint64_t>(key, value);
             distribute_changed = true;
         } else if (key == "top-services") {
-            placement.topServices =
-                static_cast<std::size_t>(std::stoul(value));
+            placement.topServices = whatIfInteger<std::size_t>(key, value);
             embed_changed = true;
         } else if (key == "clusters-per-child") {
             placement.clustersPerChild =
-                static_cast<std::size_t>(std::stoul(value));
+                whatIfInteger<std::size_t>(key, value);
             distribute_changed = true;
         } else if (key == "placement-embedding") {
             if (value == "score") {

@@ -96,14 +96,25 @@ enum class EventKind : std::uint8_t {
     CheckpointRestore,
 };
 
-/** Why remap rejected a candidate pairing (Event::code). */
+/**
+ * Why remap rejected a candidate pairing (Event::code).  A pair is
+ * attributed to the first check that rejects it, in the scan's order:
+ * validity gate, cluster prune, then the accept test cheapest-first —
+ * the O(1) probe bound at B, the O(1) probe bound at A, the scan at B,
+ * the scan at A (core/remap.cc).  So a pair that would fail at both
+ * nodes reads NoImprovement unless the A-side bound proves it and the
+ * B-side bound does not.  The nearest-miss scores journaled with a
+ * reject are the values the deciding check computed: a bound-derived
+ * score (numerator over the probe floor) or a prefix score from an
+ * early-reject pass, both at least the true post-swap score.
+ */
 enum class RejectReason : std::uint32_t {
-    /** Failed the improve-at-A test (the early-reject kernel path). */
+    /** Failed improve-at-A: by the A-side probe bound or the A scan. */
     EarlyReject = 1,
     /** Instance validity below RemapConfig::minValidFraction. */
     ValidityGate = 2,
-    /** Passed at A but failed improve-at-B, or the round found no
-     *  positive-gain swap at all. */
+    /** Failed improve-at-B: by the B-side probe bound (a lone member's
+     *  fixed 2.0 score included) or the B scan. */
     NoImprovement = 3,
     /** Skipped before any kernel pass: the partner's embedding cluster
      *  is outside the candidate's allowed set (RemapConfig::prune). */

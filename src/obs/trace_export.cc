@@ -555,12 +555,11 @@ describe(const JournalEvent &e)
            << " at rack " << arg(e, "rack_a") << " — "
            << arg(e, "partners") << " partner(s) ";
         if (reason == "early_reject")
-            os << "showed no improvement at the donor rack "
-                  "(early-reject kernel gate)";
+            os << "showed no improvement at the donor rack";
         else if (reason == "validity_gate")
             os << "excluded by the validity gate";
         else if (reason == "no_improvement")
-            os << "showed no net improvement after the full swap";
+            os << "showed no improvement at the partner's rack";
         else if (reason == "pruned")
             os << "pruned by the cluster candidate index before "
                   "evaluation";

@@ -267,6 +267,23 @@ namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 double
+peakGeneric(const double *a, std::size_t n)
+{
+    double m0 = kNegInf, m1 = kNegInf, m2 = kNegInf, m3 = kNegInf;
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        m0 = std::max(m0, a[i]);
+        m1 = std::max(m1, a[i + 1]);
+        m2 = std::max(m2, a[i + 2]);
+        m3 = std::max(m3, a[i + 3]);
+    }
+    double best = std::max(std::max(m0, m1), std::max(m2, m3));
+    for (; i < n; ++i)
+        best = std::max(best, a[i]);
+    return best;
+}
+
+double
 peakOfSumGeneric(const double *a, const double *b, std::size_t n)
 {
     double m0 = kNegInf, m1 = kNegInf, m2 = kNegInf, m3 = kNegInf;
@@ -346,6 +363,22 @@ horizontalMax(__m256d m, double tail_best)
     const double a = std::max(lanes[0], lanes[1]);
     const double b = std::max(lanes[2], lanes[3]);
     return std::max(std::max(a, b), tail_best);
+}
+
+__attribute__((target("avx2"))) double
+peakAvx2(const double *a, std::size_t n)
+{
+    __m256d m0 = _mm256_set1_pd(kNegInf);
+    __m256d m1 = _mm256_set1_pd(kNegInf);
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        m0 = _mm256_max_pd(m0, _mm256_loadu_pd(a + i));
+        m1 = _mm256_max_pd(m1, _mm256_loadu_pd(a + i + 4));
+    }
+    double best = kNegInf;
+    for (; i < n; ++i)
+        best = std::max(best, a[i]);
+    return horizontalMax(_mm256_max_pd(m0, m1), best);
 }
 
 __attribute__((target("avx2"))) double
@@ -436,6 +469,7 @@ peakOfAddScaledDiffAvx2(const double *c, const double *a, const double *b,
 
 /** Function-pointer table the blocked kernels route through. */
 struct KernelDispatch {
+    double (*peak)(const double *, std::size_t);
     double (*peakOfSum)(const double *, const double *, std::size_t);
     double (*peakOfScaledSum)(const double *, const double *, double,
                               std::size_t);
@@ -448,14 +482,14 @@ struct KernelDispatch {
 KernelDispatch
 pickDispatch()
 {
-    KernelDispatch d{peakOfSumGeneric, peakOfScaledSumGeneric,
+    KernelDispatch d{peakGeneric, peakOfSumGeneric, peakOfScaledSumGeneric,
                      peakOfDiffGeneric, peakOfAddScaledDiffGeneric,
                      "generic"};
 #if SOSIM_AVX2_COMPILED
     const char *env = std::getenv("SOSIM_NATIVE");
     const bool disabled = env != nullptr && env[0] == '0';
     if (!disabled && __builtin_cpu_supports("avx2")) {
-        d = {peakOfSumAvx2, peakOfScaledSumAvx2, peakOfDiffAvx2,
+        d = {peakAvx2, peakOfSumAvx2, peakOfScaledSumAvx2, peakOfDiffAvx2,
              peakOfAddScaledDiffAvx2, "avx2"};
     }
 #endif
@@ -495,18 +529,6 @@ namespace {
  */
 constexpr std::size_t kRejectStride = 256;
 
-/** Prefix peak already proves numerator / peak <= threshold? */
-inline bool
-rejectDecided(double best, double numerator, double threshold)
-{
-    // Only valid for a positive prefix peak: the zero-power branch
-    // (peak <= 0 -> score 0.0) needs the full scan's sign.  For
-    // best > 0 the argument is exact — the running max only grows and
-    // IEEE division is monotone in the denominator, so once the prefix
-    // score is <= threshold the full score is too.
-    return best > 0.0 && numerator / best <= threshold;
-}
-
 } // namespace
 
 double
@@ -527,7 +549,7 @@ peakOfScaledSumEarlyReject(TraceView a, TraceView b, double scale,
         if (chunk > best)
             best = chunk;
         i += len;
-        if (i < n && rejectDecided(best, numerator, threshold)) {
+        if (i < n && rejectProven(best, numerator, threshold)) {
             SOSIM_COUNT("trace.kernels.early_rejects");
             return best;
         }
@@ -556,12 +578,49 @@ peakOfAddScaledDiffEarlyReject(TraceView c, TraceView a, TraceView b,
         if (chunk > best)
             best = chunk;
         i += len;
-        if (i < n && rejectDecided(best, numerator, threshold)) {
+        if (i < n && rejectProven(best, numerator, threshold)) {
             SOSIM_COUNT("trace.kernels.early_rejects");
             return best;
         }
     }
     return best;
+}
+
+double
+peakBlocked(TraceView v)
+{
+    SOSIM_COUNT("trace.kernels.peak_blocked");
+    SOSIM_REQUIRE(!v.empty(), "peakBlocked: view must be non-empty");
+    return dispatch().peak(v.data(), v.size());
+}
+
+std::size_t
+firstPeakIndex(TraceView v, double peak)
+{
+    for (std::size_t i = 0; i < v.size(); ++i)
+        if (v[i] == peak)
+            return i;
+    return 0;
+}
+
+std::size_t
+firstPeakIndexOfDiff(TraceView a, TraceView b, double peak)
+{
+    SOSIM_REQUIRE(a.alignedWith(b),
+                  "firstPeakIndexOfDiff: views must be aligned");
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (a[i] - b[i] == peak)
+            return i;
+    return 0;
+}
+
+void
+accumulateRow(double *dst, TraceView src)
+{
+    SOSIM_COUNT("trace.kernels.accumulate_row");
+    const double *p = src.data();
+    for (std::size_t i = 0; i < src.size(); ++i)
+        dst[i] += p[i];
 }
 
 double

@@ -190,6 +190,45 @@ double peakOfAddScaledDiffEarlyReject(TraceView c, TraceView a,
                                       double numerator, double threshold);
 
 /**
+ * The reject proof shared by the early-reject kernels and the remap
+ * swap scan's probe bounds: `floor` is a lower bound on the peak of the
+ * full scan (a prefix peak, or any one element the scan takes its max
+ * over).  For floor > 0 and a non-negative numerator (a sum of power
+ * peaks) the proof is exact — the full peak is >= floor and IEEE
+ * division is monotone in the denominator, so
+ * `numerator / peak <= threshold` whenever `numerator / floor` is.  A
+ * non-positive floor proves nothing (the zero-power branch, peak <= 0
+ * -> score 0.0, needs the full scan's sign).
+ */
+inline bool
+rejectProven(double floor, double numerator, double threshold)
+{
+    return floor > 0.0 && numerator / floor <= threshold;
+}
+
+/**
+ * Element `t` of peakOfScaledSum's scan, `a[t] + scale * b[t]`, with
+ * the identical IEEE operations in the identical order (the build pins
+ * -ffp-contract=off, so no FMA), hence never above the kernel's peak.
+ */
+inline double
+scaledSumAt(TraceView a, TraceView b, double scale, std::size_t t)
+{
+    return a[t] + scale * b[t];
+}
+
+/**
+ * Element `t` of peakOfAddScaledDiff's scan, `c[t] + scale*(a[t]-b[t])`,
+ * evaluated exactly as the kernel does (see scaledSumAt).
+ */
+inline double
+addScaledDiffAt(TraceView c, TraceView a, TraceView b, double scale,
+                std::size_t t)
+{
+    return c[t] + scale * (a[t] - b[t]);
+}
+
+/**
  * Element-wise accumulate `src` into `dst` and return the peak of the
  * *updated* dst, in one fused pass.  This is the building block of
  * aggregate scores: summing n member traces costs n passes total and the
@@ -265,6 +304,28 @@ const char *kernelModeName(KernelMode mode);
  * multi-accumulator loops).  Resolved once, on first use.
  */
 const char *kernelIsaName();
+
+/** Blocked peak(v); finite inputs.  See the contract above. */
+double peakBlocked(TraceView v);
+
+/**
+ * First index t with v[t] == peak.  Called with peak = peakBlocked(v) it
+ * is the first argmax — the computeStats peakIndex on finite data.
+ * Returns 0 when no sample equals `peak` (possible only on non-finite
+ * data), so the result is always a valid index.
+ */
+std::size_t firstPeakIndex(TraceView v, double peak);
+
+/** First index t with a[t] - b[t] == peak (0 if none), as above. */
+std::size_t firstPeakIndexOfDiff(TraceView a, TraceView b, double peak);
+
+/**
+ * dst[i] += src[i] without a max-scan (vectorizable).  Each element sees
+ * the same single addition as in accumulatePeakRow, so a row summed
+ * this way and then scanned with peakBlocked has the identical values
+ * and peak.
+ */
+void accumulateRow(double *dst, TraceView src);
 
 /** Blocked peak(a + b); finite inputs.  See the contract above. */
 double peakOfSumBlocked(TraceView a, TraceView b);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for util: Rng determinism and distributions, ZipfSampler,
- * Table formatting, and the error macros.
+ * Table formatting, the error macros and checked integer parsing.
  */
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "util/error.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -445,6 +446,33 @@ TEST(Format, FixedAndPercent)
     EXPECT_EQ(sosim::util::fmtFixed(2.0, 0), "2");
     EXPECT_EQ(sosim::util::fmtPercent(0.131), "13.1%");
     EXPECT_EQ(sosim::util::fmtPercent(-0.05, 0), "-5%");
+}
+
+TEST(ParseInteger, AcceptsWholeTokensInRange)
+{
+    using sosim::util::parseInteger;
+    EXPECT_EQ(parseInteger<int>("0"), 0);
+    EXPECT_EQ(parseInteger<int>("-7"), -7);
+    EXPECT_EQ(parseInteger<int>("2147483647"), 2147483647);
+    EXPECT_EQ(parseInteger<std::uint64_t>("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    // Decimal stays decimal: a leading zero is not an octal prefix.
+    EXPECT_EQ(parseInteger<int>("010"), 10);
+    EXPECT_EQ(parseInteger<std::uint64_t>("0x1f", true), 31u);
+    EXPECT_EQ(parseInteger<std::uint64_t>("0XFF", true), 255u);
+}
+
+TEST(ParseInteger, RejectsPrefixesSignsAndOverflow)
+{
+    using sosim::util::parseInteger;
+    for (const char *bad : {"", "abc", "3abc", "12x", " 1", "1 ", "+1",
+                            "1.5", "2147483648", "-2147483649"})
+        EXPECT_FALSE(parseInteger<int>(bad).has_value()) << bad;
+    for (const char *bad : {"-1", "18446744073709551616", "0x10"})
+        EXPECT_FALSE(parseInteger<std::uint64_t>(bad).has_value()) << bad;
+    for (const char *bad : {"0x", "0xzz", "0x1g", "0x-1", "x1"})
+        EXPECT_FALSE(parseInteger<std::uint64_t>(bad, true).has_value())
+            << bad;
 }
 
 } // namespace

@@ -60,6 +60,7 @@
 #include "graph/ops.h"
 #include "power/power_tree.h"
 #include "util/parallel.h"
+#include "util/parse.h"
 #include "workload/catalog.h"
 #include "workload/dc_presets.h"
 #include "workload/generator.h"
@@ -230,9 +231,11 @@ main(int argc, char **argv)
         } else if (arg == "--label")
             label = next("--label");
         else if (arg == "--threads")
-            pool_threads = std::stoul(next("--threads"));
+            pool_threads = util::integerFlagOrExit<std::size_t>(
+                "bench_report", arg, next("--threads"));
         else if (arg == "--repeats")
-            repeats = std::stoi(next("--repeats"));
+            repeats = util::integerFlagOrExit<int>("bench_report", arg,
+                                                   next("--repeats"));
         else if (arg == "--fault-plan")
             fault_plan = next("--fault-plan");
         else if (arg == "--flight-record")

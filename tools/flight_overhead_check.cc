@@ -40,6 +40,7 @@
 #include "obs/events.h"
 #include "obs/obs.h"
 #include "trace/repair.h"
+#include "util/parse.h"
 #include "workload/catalog.h"
 #include "workload/generator.h"
 
@@ -128,7 +129,8 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--repeats" && i + 1 < argc)
-            repeats = std::atoi(argv[++i]);
+            repeats = util::integerFlagOrExit<int>("flight_overhead_check",
+                                                   arg, argv[++i]);
         else if (arg == "--max-ratio" && i + 1 < argc)
             max_ratio = std::atof(argv[++i]);
         else {

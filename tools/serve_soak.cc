@@ -40,6 +40,7 @@
 #include "serve/service.h"
 #include "trace/time_series.h"
 #include "util/parallel.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace {
@@ -285,10 +286,12 @@ checkRejectCoverage(const serve::StreamRing &ring)
     CHECK(!ring.quarantined().empty(), "quarantine is empty");
 }
 
+/** Checked unsigned flag value (decimal or 0x-hex; exits 2 otherwise). */
 std::uint64_t
-parseU64(const std::string &text)
+parseU64(const std::string &flag, const std::string &text)
 {
-    return std::strtoull(text.c_str(), nullptr, 0);
+    return util::integerFlagOrExit<std::uint64_t>("serve_soak", flag, text,
+                                                  true);
 }
 
 } // namespace
@@ -307,15 +310,15 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--seed")
-            opt.seed = parseU64(next());
+            opt.seed = parseU64(arg, next());
         else if (arg == "--instances")
-            opt.instances = std::size_t(parseU64(next()));
+            opt.instances = std::size_t(parseU64(arg, next()));
         else if (arg == "--ticks")
-            opt.ticks = parseU64(next());
+            opt.ticks = parseU64(arg, next());
         else if (arg == "--window")
-            opt.window = std::size_t(parseU64(next()));
+            opt.window = std::size_t(parseU64(arg, next()));
         else if (arg == "--epoch-ticks")
-            opt.epochTicks = std::size_t(parseU64(next()));
+            opt.epochTicks = std::size_t(parseU64(arg, next()));
         else if (arg == "--profile")
             opt.profile = next();
         else if (arg == "--checkpoint-dir")

@@ -52,6 +52,7 @@
 #include "trace/io.h"
 #include "trace/repair.h"
 #include "util/error.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "workload/dc_presets.h"
 #include "workload/generator.h"
@@ -132,11 +133,16 @@ class Args
         return it == values_.end() ? fallback : std::stod(it->second);
     }
 
+    /** Integer flag value: the whole token, in int range (exits 2
+     *  naming the flag otherwise, see util/parse.h). */
     int
     getInt(const std::string &key, int fallback) const
     {
         const auto it = values_.find(key);
-        return it == values_.end() ? fallback : std::stoi(it->second);
+        return it == values_.end()
+                   ? fallback
+                   : util::integerFlagOrExit<int>("sosim", "--" + key,
+                                                  it->second);
     }
 
   private:
@@ -476,22 +482,24 @@ int
 cmdExplain(const Args &args)
 {
     const std::string path = args.require("record");
+    SOSIM_REQUIRE(args.has("instance") != args.has("node"),
+                  "explain: pass exactly one of --instance ID or "
+                  "--node SIG");
+    // Check the query before reading the journal: a malformed id is a
+    // usage error (exit 2) whatever the --record file holds.
+    obs::ExplainQuery query;
+    if (args.has("instance"))
+        query.instance = util::integerFlagOrExit<std::uint64_t>(
+            "sosim", "--instance", args.require("instance"));
+    else
+        query.node = util::integerFlagOrExit<std::uint64_t>(
+            "sosim", "--node", args.require("node"), true);
     std::ifstream in(path);
     SOSIM_REQUIRE(in.good(), "cannot open --record file " + path);
     std::vector<obs::JournalEvent> events;
     std::string error;
     SOSIM_REQUIRE(obs::readEventJournal(in, events, &error),
                   "explain: " + error + " in " + path);
-    SOSIM_REQUIRE(args.has("instance") != args.has("node"),
-                  "explain: pass exactly one of --instance ID or "
-                  "--node SIG");
-    obs::ExplainQuery query;
-    if (args.has("instance"))
-        query.instance = std::strtoull(args.require("instance").c_str(),
-                                       nullptr, 0);
-    else
-        query.node =
-            std::strtoull(args.require("node").c_str(), nullptr, 0);
     return obs::explainRecord(std::cout, events, query) ? 0 : 1;
 }
 
